@@ -14,8 +14,9 @@ NodeId Netlist::addNode(std::string name) {
 }
 
 void Netlist::checkNode(NodeId node, const char* context) const {
-  require(node < node_names_.size(),
-          std::string(context) + ": node id out of range");
+  if (node >= node_names_.size()) {
+    throwError(std::string(context) + ": node id out of range");
+  }
 }
 
 void Netlist::fixVoltage(NodeId node, double volts) {

@@ -61,9 +61,10 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
   require(options_.propagation_iterations >= 1,
           "EstimationPlan: propagation_iterations must be >= 1");
   for (const logic::Gate& gate : netlist_.gates()) {
-    require(library_.has(gate.kind),
-            std::string("EstimationPlan: library missing tables for ") +
-                gates::toString(gate.kind));
+    if (!library_.has(gate.kind)) {
+      throwError(std::string("EstimationPlan: library missing tables for ") +
+                 gates::toString(gate.kind));
+    }
   }
   has_dffs_ = !netlist_.dffs().empty();
   if (has_dffs_) {
@@ -103,9 +104,10 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
           netlist_.driverKind(net) != DriverKind::kPrimaryInput;
     }
     const std::vector<VectorTable>& tables = library_.tables(gate.kind);
-    require(tables.size() == (std::size_t{1} << gate.inputs.size()),
-            std::string("EstimationPlan: table count mismatch for ") +
-                gates::toString(gate.kind));
+    if (tables.size() != (std::size_t{1} << gate.inputs.size())) {
+      throwError(std::string("EstimationPlan: table count mismatch for ") +
+                 gates::toString(gate.kind));
+    }
     for (std::size_t vec = 0; vec < tables.size(); ++vec) {
       table_[table_offset_[g] + vec] = &tables[vec];
     }
@@ -139,9 +141,10 @@ void EstimationPlan::checkWorkspace(const EstimationWorkspace& ws) const {
 }
 
 void EstimationPlan::checkSourceCount(std::size_t got) const {
-  require(got == sourceCount(),
-          "EstimationPlan: expected " + std::to_string(sourceCount()) +
-              " source values, got " + std::to_string(got));
+  if (got != sourceCount()) {
+    throwError("EstimationPlan: expected " + std::to_string(sourceCount()) +
+               " source values, got " + std::to_string(got));
+  }
 }
 
 void EstimationPlan::refreshGateVector(EstimationWorkspace& ws,
@@ -268,15 +271,20 @@ void EstimationPlan::finishResult(const EstimationWorkspace& ws,
   out.per_gate = ws.per_gate_;
 }
 
+void EstimationPlan::evaluateFull(const std::vector<bool>& source_values,
+                                  EstimationWorkspace& ws) const {
+  estimateMetrics().cold.increment();
+  simulator_.simulateInto(source_values, ws.values_);
+  computeAllFromValues(ws);
+  ws.warm_ = true;
+}
+
 void EstimationPlan::estimate(const std::vector<bool>& source_values,
                               EstimationWorkspace& ws,
                               EstimateResult& out) const {
   checkWorkspace(ws);
   checkSourceCount(source_values.size());
-  estimateMetrics().cold.increment();
-  simulator_.simulateInto(source_values, ws.values_);
-  computeAllFromValues(ws);
-  ws.warm_ = true;
+  evaluateFull(source_values, ws);
   finishResult(ws, out);
 }
 
@@ -290,10 +298,29 @@ EstimateResult EstimationPlan::estimate(
 void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
                                    EstimationWorkspace& ws,
                                    EstimateResult& out) const {
+  evaluateDelta(source_values, ws);
+  finishResult(ws, out);
+}
+
+EstimateResult EstimationPlan::estimateDelta(
+    const std::vector<bool>& source_values, EstimationWorkspace& ws) const {
+  EstimateResult out;
+  estimateDelta(source_values, ws, out);
+  return out;
+}
+
+device::LeakageBreakdown EstimationPlan::estimateDeltaTotal(
+    const std::vector<bool>& source_values, EstimationWorkspace& ws) const {
+  evaluateDelta(source_values, ws);
+  return ws.total_;
+}
+
+void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
+                                   EstimationWorkspace& ws) const {
   checkWorkspace(ws);
   checkSourceCount(source_values.size());
   if (!ws.warm_) {
-    estimate(source_values, ws, out);
+    evaluateFull(source_values, ws);
     return;
   }
   simulator_.simulateDelta(source_values, ws.values_, ws.dirty_gates_,
@@ -301,7 +328,6 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
   if (ws.changed_nets_.empty()) {
     // Same pattern as the previous call: the workspace result stands.
     estimateMetrics().unchanged.increment();
-    finishResult(ws, out);
     return;
   }
 
@@ -312,7 +338,6 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
   if (fallback) {
     estimateMetrics().fallback_full.increment();
     computeAllFromValues(ws);
-    finishResult(ws, out);
     return;
   }
 
@@ -323,7 +348,6 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
       ws.per_gate_[g] = GateEstimate{ws.table_[g]->isolated_nominal, 0.0, 0.0};
     }
     resumTotal(ws);
-    finishResult(ws, out);
     return;
   }
 
@@ -397,14 +421,6 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
     ws.gate_mark_[g] = 0;
   }
   resumTotal(ws);
-  finishResult(ws, out);
-}
-
-EstimateResult EstimationPlan::estimateDelta(
-    const std::vector<bool>& source_values, EstimationWorkspace& ws) const {
-  EstimateResult out;
-  estimateDelta(source_values, ws, out);
-  return out;
 }
 
 EstimationWorkspace::EstimationWorkspace(const EstimationPlan& plan)
@@ -418,6 +434,11 @@ EstimationWorkspace::EstimationWorkspace(const EstimationPlan& plan)
   per_gate_.resize(plan.gate_count_);
   net_mark_.assign(plan.net_count_, 0);
   gate_mark_.assign(plan.gate_count_, 0);
+  // Worst-case sizes up front, so no estimateDelta() outcome allocates.
+  dirty_gates_.reserve(plan.gate_count_);
+  touched_gates_.reserve(plan.gate_count_);
+  changed_nets_.reserve(plan.net_count_);
+  dirty_nets_.reserve(plan.net_count_);
 }
 
 }  // namespace nanoleak::core

@@ -117,12 +117,24 @@ class EstimationPlan {
   /// Convenience overload returning a fresh result.
   EstimateResult estimateDelta(const std::vector<bool>& source_values,
                                EstimationWorkspace& ws) const;
+  /// estimateDelta() for callers that read only the whole-circuit total:
+  /// the same evaluation (bit-identical total, same path counters) without
+  /// copying the per-gate results out of the workspace.
+  device::LeakageBreakdown estimateDeltaTotal(
+      const std::vector<bool>& source_values, EstimationWorkspace& ws) const;
 
  private:
   friend class EstimationWorkspace;
 
   void checkWorkspace(const EstimationWorkspace& ws) const;
   void checkSourceCount(std::size_t got) const;
+  /// Full evaluation into the workspace (no argument checks).
+  void evaluateFull(const std::vector<bool>& source_values,
+                    EstimationWorkspace& ws) const;
+  /// Checked incremental evaluation into the workspace; the shared body of
+  /// estimateDelta() and estimateDeltaTotal().
+  void evaluateDelta(const std::vector<bool>& source_values,
+                     EstimationWorkspace& ws) const;
   /// Vector index + resolved table of one gate from current net values.
   void refreshGateVector(EstimationWorkspace& ws, logic::GateId g) const;
   /// IL/OL of one gate from current injections and pin currents (the

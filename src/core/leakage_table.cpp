@@ -97,9 +97,10 @@ bool LeakageLibrary::has(gates::GateKind kind) const {
 const std::vector<VectorTable>& LeakageLibrary::tables(
     gates::GateKind kind) const {
   const auto it = tables_.find(kind);
-  require(it != tables_.end(),
-          std::string("LeakageLibrary: no tables for ") +
-              gates::toString(kind));
+  if (it == tables_.end()) {
+    throwError(std::string("LeakageLibrary: no tables for ") +
+               gates::toString(kind));
+  }
   return it->second;
 }
 

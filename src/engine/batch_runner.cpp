@@ -118,15 +118,15 @@ McBatchResult BatchRunner::run(const McSweep& sweep) {
   return result;
 }
 
-std::vector<core::EstimateResult> BatchRunner::runPatterns(
-    const core::EstimationPlan& plan,
-    const std::vector<std::vector<bool>>& patterns) {
+void BatchRunner::forEachPattern(
+    const core::EstimationPlan& plan, std::size_t count,
+    const std::function<void(std::size_t, core::EstimationWorkspace&)>&
+        visit) {
   OBS_SPAN("engine.run_patterns");
   static const obs::Counter workspaces_created =
       obs::counter("engine.workspaces_created");
   static const obs::Counter workspace_reuses =
       obs::counter("engine.workspace_reuses");
-  std::vector<core::EstimateResult> out(patterns.size());
 
   // One workspace per thread in steady state: workers draw from a shared
   // free list and return their workspace after each chunk. A workspace
@@ -152,16 +152,36 @@ std::vector<core::EstimateResult> BatchRunner::runPatterns(
     free_list.push_back(std::move(ws));
   };
 
-  pool_.parallelFor(
-      patterns.size(), options_.pattern_chunk,
-      [&](std::size_t begin, std::size_t end) {
-        auto ws = acquire();
-        for (std::size_t i = begin; i < end; ++i) {
-          util::pollCancel();
-          plan.estimateDelta(patterns[i], *ws, out[i]);
-        }
-        release(std::move(ws));
-      });
+  pool_.parallelFor(count, options_.pattern_chunk,
+                    [&](std::size_t begin, std::size_t end) {
+                      auto ws = acquire();
+                      for (std::size_t i = begin; i < end; ++i) {
+                        util::pollCancel();
+                        visit(i, *ws);
+                      }
+                      release(std::move(ws));
+                    });
+}
+
+std::vector<core::EstimateResult> BatchRunner::runPatterns(
+    const core::EstimationPlan& plan,
+    const std::vector<std::vector<bool>>& patterns) {
+  std::vector<core::EstimateResult> out(patterns.size());
+  forEachPattern(plan, patterns.size(),
+                 [&](std::size_t i, core::EstimationWorkspace& ws) {
+                   plan.estimateDelta(patterns[i], ws, out[i]);
+                 });
+  return out;
+}
+
+std::vector<device::LeakageBreakdown> BatchRunner::runPatternTotals(
+    const core::EstimationPlan& plan,
+    const std::vector<std::vector<bool>>& patterns) {
+  std::vector<device::LeakageBreakdown> out(patterns.size());
+  forEachPattern(plan, patterns.size(),
+                 [&](std::size_t i, core::EstimationWorkspace& ws) {
+                   out[i] = plan.estimateDeltaTotal(patterns[i], ws);
+                 });
   return out;
 }
 

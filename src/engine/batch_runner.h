@@ -108,6 +108,14 @@ class BatchRunner {
       const core::LeakageEstimator& estimator,
       const std::vector<std::vector<bool>>& patterns);
 
+  /// runPatterns() for callers that read only each pattern's total: the
+  /// same chunks, workspace pool and delta path, without copying per-gate
+  /// results out. Element i is bit-identical to runPatterns()[i].total at
+  /// any thread count.
+  std::vector<device::LeakageBreakdown> runPatternTotals(
+      const core::EstimationPlan& plan,
+      const std::vector<std::vector<bool>>& patterns);
+
   /// Deterministic parallel map over [0, count): out[i] = fn(i), one task
   /// per index. The building block the typed sweeps are written with.
   template <typename T>
@@ -124,6 +132,14 @@ class BatchRunner {
   }
 
  private:
+  /// The pattern-sweep loop shared by runPatterns() and runPatternTotals():
+  /// visit(i, ws) for every i in [0, count), pattern_chunk indices per
+  /// chunk, each chunk on one workspace drawn from a per-call pool.
+  void forEachPattern(
+      const core::EstimationPlan& plan, std::size_t count,
+      const std::function<void(std::size_t, core::EstimationWorkspace&)>&
+          visit);
+
   BatchOptions options_;
   std::shared_ptr<TableCache> cache_;
   ThreadPool pool_;

@@ -40,9 +40,21 @@ class ThreadPool {
 
   /// Runs `body` over [0, count) partitioned into `chunk`-sized pieces.
   /// The caller participates; the call blocks until every chunk finished.
-  /// The first exception thrown by any chunk is rethrown here (remaining
-  /// chunks are cancelled). Chunk boundaries depend only on (count, chunk),
-  /// never on the thread count.
+  /// Chunk boundaries depend only on (count, chunk), never on the thread
+  /// count.
+  ///
+  /// A chunk that throws cancels the loop. Guaranteed:
+  ///  - parallelFor rethrows the first exception the pool caught, after
+  ///    every chunk that started has returned or thrown;
+  ///  - no chunk runs twice, and once the pool has caught a throw no chunk
+  ///    that is not yet claimed starts; the throwing thread in particular
+  ///    starts no further chunk of the loop;
+  ///  - run inline (one thread, or one chunk), no chunk after the throwing
+  ///    one starts;
+  ///  - the pool is reusable as soon as parallelFor returns.
+  /// Other threads may claim chunks between the throw and the moment the
+  /// pool catches it, and those chunks run, so how many chunks run in all
+  /// is unspecified.
   void parallelFor(std::size_t count, std::size_t chunk,
                    const ChunkBody& body);
 

@@ -94,9 +94,11 @@ void GateNetlistBuilder::instantiate(GateKind kind,
                                      std::span<const bool> input_values,
                                      const VariationProvider& variation) {
   const CellTopology& cell = cellTopology(kind);
-  require(inputs.size() == static_cast<std::size_t>(cell.num_inputs),
-          std::string("GateNetlistBuilder::instantiate: wrong arity for ") +
-              toString(kind));
+  if (inputs.size() != static_cast<std::size_t>(cell.num_inputs)) {
+    throwError(
+        std::string("GateNetlistBuilder::instantiate: wrong arity for ") +
+        toString(kind));
+  }
   require(input_values.empty() || input_values.size() == inputs.size(),
           "GateNetlistBuilder::instantiate: input_values arity mismatch");
 

@@ -1,6 +1,7 @@
 #include "gates/gate_library.h"
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -17,6 +18,10 @@ constexpr std::array<GateKind, 19> kCombinational = {
     GateKind::kAnd2,  GateKind::kAnd3,  GateKind::kAnd4,  GateKind::kOr2,
     GateKind::kOr3,   GateKind::kOr4,   GateKind::kXor2,  GateKind::kXnor2,
     GateKind::kAoi21, GateKind::kOai21, GateKind::kMux2};
+// truthTable() indexes its per-kind array by enum value.
+static_assert(static_cast<std::size_t>(GateKind::kDff) ==
+                  kCombinational.size(),
+              "combinational kinds must precede kDff in GateKind");
 
 }  // namespace
 
@@ -366,17 +371,19 @@ const std::map<GateKind, CellTopology>& registry() {
 }  // namespace
 
 const CellTopology& cellTopology(GateKind kind) {
-  require(hasTopology(kind),
-          std::string("cellTopology: ") + toString(kind) +
-              " has no transistor topology");
+  if (!hasTopology(kind)) {
+    throwError(std::string("cellTopology: ") + toString(kind) +
+               " has no transistor topology");
+  }
   return registry().at(kind);
 }
 
 std::vector<bool> evaluateStages(GateKind kind, std::span<const bool> inputs) {
   const CellTopology& cell = cellTopology(kind);
-  require(inputs.size() == static_cast<std::size_t>(cell.num_inputs),
-          std::string("evaluateStages: wrong input arity for ") +
-              toString(kind));
+  if (inputs.size() != static_cast<std::size_t>(cell.num_inputs)) {
+    throwError(std::string("evaluateStages: wrong input arity for ") +
+               toString(kind));
+  }
   // Contiguous buffer for internal signals (std::vector<bool> cannot back a
   // span); no cell has more than a handful of stages.
   std::array<bool, 32> internals{};
@@ -393,9 +400,41 @@ std::vector<bool> evaluateStages(GateKind kind, std::span<const bool> inputs) {
   return outputs;
 }
 
+std::uint32_t truthTable(GateKind kind) {
+  static const std::array<std::uint32_t, kCombinational.size()> tables = [] {
+    std::array<std::uint32_t, kCombinational.size()> t{};
+    for (GateKind k : kCombinational) {
+      const auto pins = static_cast<std::size_t>(inputCount(k));
+      for (std::uint32_t v = 0; v < (1u << pins); ++v) {
+        std::array<bool, 8> in{};
+        for (std::size_t p = 0; p < pins; ++p) {
+          in[p] = ((v >> p) & 1u) != 0;
+        }
+        if (evaluateStages(k, std::span<const bool>(in.data(), pins)).back()) {
+          t[static_cast<std::size_t>(k)] |= 1u << v;
+        }
+      }
+    }
+    return t;
+  }();
+  if (!hasTopology(kind)) {
+    throwError(std::string("truthTable: ") + toString(kind) +
+               " has no combinational truth function");
+  }
+  return tables[static_cast<std::size_t>(kind)];
+}
+
 bool evaluateGate(GateKind kind, std::span<const bool> inputs) {
-  const std::vector<bool> outputs = evaluateStages(kind, inputs);
-  return outputs.back();
+  const std::uint32_t table = truthTable(kind);
+  if (inputs.size() != static_cast<std::size_t>(inputCount(kind))) {
+    throwError(std::string("evaluateGate: wrong input arity for ") +
+               toString(kind));
+  }
+  std::uint32_t index = 0;
+  for (std::size_t pin = 0; pin < inputs.size(); ++pin) {
+    index |= static_cast<std::uint32_t>(inputs[pin]) << pin;
+  }
+  return ((table >> index) & 1u) != 0;
 }
 
 }  // namespace nanoleak::gates

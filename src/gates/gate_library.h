@@ -7,6 +7,7 @@
 // simulation and transistor topology can never disagree.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,7 +117,14 @@ struct CellTopology {
 /// Topology of a cell kind; requires hasTopology(kind).
 const CellTopology& cellTopology(GateKind kind);
 
-/// Truth function of the cell derived from its topology.
+/// Truth table of a combinational kind: bit v holds the cell output for
+/// input vector v (pin k's value in bit k of v, matching
+/// core::vectorIndex()). Derived once per kind from the switch networks
+/// (evaluateStages), so logic simulation and transistor topology still
+/// cannot disagree. Throws nanoleak::Error for kDff.
+std::uint32_t truthTable(GateKind kind);
+
+/// Truth function of the cell: a read of truthTable(kind).
 /// `inputs.size()` must equal inputCount(kind).
 bool evaluateGate(GateKind kind, std::span<const bool> inputs);
 

@@ -64,13 +64,14 @@ GateId LogicNetlist::addGate(gates::GateKind kind, std::vector<NetId> inputs,
                              NetId output, std::string name) {
   require(gates::hasTopology(kind),
           "LogicNetlist::addGate: use addDff for flip-flops");
-  require(inputs.size() ==
-              static_cast<std::size_t>(gates::inputCount(kind)),
-          std::string("LogicNetlist::addGate: wrong arity for ") +
-              gates::toString(kind));
+  if (inputs.size() != static_cast<std::size_t>(gates::inputCount(kind))) {
+    throwError(std::string("LogicNetlist::addGate: wrong arity for ") +
+               gates::toString(kind));
+  }
   require(output < netCount(), "addGate: output net out of range");
-  require(driver_kind_[output] == DriverKind::kUndriven,
-          "addGate: net '" + net_names_[output] + "' already driven");
+  if (driver_kind_[output] != DriverKind::kUndriven) {
+    throwError("addGate: net '" + net_names_[output] + "' already driven");
+  }
   for (NetId in : inputs) {
     require(in < netCount(), "addGate: input net out of range");
   }
@@ -115,8 +116,9 @@ DriverKind LogicNetlist::driverKind(NetId net) const {
 }
 
 GateId LogicNetlist::driverGate(NetId net) const {
-  require(driverKind(net) == DriverKind::kGate,
-          "driverGate: net '" + net_names_[net] + "' is not gate-driven");
+  if (driverKind(net) != DriverKind::kGate) {
+    throwError("driverGate: net '" + net_names_[net] + "' is not gate-driven");
+  }
   return driver_gate_[net];
 }
 

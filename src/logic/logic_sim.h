@@ -6,10 +6,15 @@
 // simulateInto() for reused buffers and an event-driven simulateDelta()
 // that re-simulates only the fanout cone of the source bits that changed -
 // the building block of the estimation plan's incremental re-estimation.
+//
+// Construction compiles the netlist into topologically ordered CSR arrays
+// (per-gate truth word from gates::truthTable, input nets, output net, net
+// fanout as topological positions; 32-bit indices), so simulation reads no
+// Gate struct and evaluates each gate with one table read.
 #pragma once
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "logic/logic_netlist.h"
@@ -20,10 +25,9 @@ namespace nanoleak::logic {
 /// Reusable scratch for LogicSimulator::simulateDelta (one per caller;
 /// not shared between threads).
 struct DeltaSimScratch {
-  /// Per-gate "already queued" flags; maintained by simulateDelta.
-  std::vector<char> queued;
-  /// Min-heap of (topological position, gate) pending evaluation.
-  std::vector<std::pair<std::size_t, GateId>> heap;
+  /// Worklist: bit p set = the gate at topological position p is pending
+  /// evaluation. All zero between calls; maintained by simulateDelta.
+  std::vector<std::uint64_t> pending;
 };
 
 /// Caches the topological order of a netlist and evaluates input patterns.
@@ -36,7 +40,7 @@ class LogicSimulator {
   std::vector<bool> simulate(const std::vector<bool>& source_values) const;
 
   /// Like simulate(), but writes into a caller-owned buffer (resized to
-  /// netCount()); no allocation once the buffer has capacity.
+  /// the netlist's net count); no allocation once the buffer has capacity.
   void simulateInto(const std::vector<bool>& source_values,
                     std::vector<bool>& values) const;
 
@@ -49,6 +53,7 @@ class LogicSimulator {
   ///    changed, in topological order (these are exactly the gates whose
   ///    input vector index changed);
   ///  - `changed_nets`: every net whose value flipped, each listed once.
+  /// No allocation once the output vectors and `scratch` have capacity.
   void simulateDelta(const std::vector<bool>& source_values,
                      std::vector<bool>& values,
                      std::vector<GateId>& dirty_gates,
@@ -58,6 +63,7 @@ class LogicSimulator {
   /// Number of source values simulate() expects.
   std::size_t sourceCount() const { return sources_.size(); }
 
+  /// Gates in topological order (inputs before outputs).
   const std::vector<GateId>& order() const { return order_; }
 
   /// Position of a gate in order() (inverse permutation).
@@ -65,11 +71,25 @@ class LogicSimulator {
 
  private:
   void checkSourceCount(std::size_t got) const;
+  /// Output of the gate at topological position `pos` for current values.
+  bool evaluate(std::size_t pos, const std::vector<bool>& values) const;
 
-  const LogicNetlist& netlist_;
+  std::size_t net_count_ = 0;
   std::vector<GateId> order_;
   std::vector<std::size_t> topo_position_;
   std::vector<NetId> sources_;
+
+  // Compiled gates, indexed by topological position: the inputs of the
+  // gate at position p are input_net_[input_offset_[p] .. input_offset_[p
+  // + 1]) in pin order; truth_[p] is gates::truthTable() of its kind.
+  std::vector<std::uint32_t> truth_;
+  std::vector<std::uint32_t> input_offset_;
+  std::vector<std::uint32_t> input_net_;
+  std::vector<std::uint32_t> output_net_;
+  // Net fanout as topological positions of the reading gates: net n feeds
+  // fanout_pos_[fanout_offset_[n] .. fanout_offset_[n + 1]).
+  std::vector<std::uint32_t> fanout_offset_;
+  std::vector<std::uint32_t> fanout_pos_;
 };
 
 /// Draws a uniform random source pattern.

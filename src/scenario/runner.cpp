@@ -129,29 +129,29 @@ ScenarioResult runEstimate(const Scenario& sc,
     plan = &*local_plan;
   }
 
-  std::vector<core::EstimateResult> results;
+  // Only per-pattern totals are reported, so neither method copies
+  // per-gate results out of its workspaces.
+  std::vector<device::LeakageBreakdown> totals;
   if (sc.method == Method::kPlanEstimate) {
-    results = runner.runPatterns(*plan, patterns);
+    totals = runner.runPatternTotals(*plan, patterns);
   } else {  // kDeltaWalk: sequential on one warm workspace
     core::EstimationWorkspace ws(*plan);
-    core::EstimateResult result;
-    results.reserve(patterns.size());
+    totals.reserve(patterns.size());
     for (const std::vector<bool>& pattern : patterns) {
-      plan->estimateDelta(pattern, ws, result);
-      results.push_back(result);
+      totals.push_back(plan->estimateDeltaTotal(pattern, ws));
     }
   }
 
   device::LeakageBreakdown sum;
   double total_min = 0.0;
   double total_max = 0.0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    sum += results[i].total;
-    const double total = results[i].total.total();
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    sum += totals[i];
+    const double total = totals[i].total();
     if (i == 0 || total < total_min) total_min = total;
     if (i == 0 || total > total_max) total_max = total;
   }
-  const double n = static_cast<double>(results.size());
+  const double n = static_cast<double>(totals.size());
   ScenarioResult out;
   out.name = sc.name;
   out.metrics = {{"gates", static_cast<double>(netlist.gateCount())},

@@ -4,7 +4,7 @@
 //
 // Determinism contract: a SuiteResult is a pure function of (registry
 // definitions, code); thread count never changes a bit. Pattern sweeps go
-// through BatchRunner::runPatterns (bit-identical at any thread count by
+// through BatchRunner::runPatternTotals (bit-identical at any thread count by
 // construction), Monte-Carlo populations use counter-seeded per-sample
 // streams, golden solves and delta walks run sequentially, and every
 // aggregation below sums in fixed vector order on the calling thread.

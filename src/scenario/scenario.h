@@ -49,7 +49,7 @@ std::vector<std::vector<bool>> expandVectors(const VectorPolicy& policy,
 
 /// How the scenario evaluates its workload.
 enum class Method {
-  kPlanEstimate,  ///< shared EstimationPlan via BatchRunner::runPatterns
+  kPlanEstimate,  ///< shared EstimationPlan via BatchRunner::runPatternTotals
   kDeltaWalk,     ///< sequential estimateDelta on one warm workspace
   kGolden,        ///< full transistor-level goldenLeakage + isolated sum
   kMonteCarlo,    ///< engine McSweep population (gate-level Fig. 10 fixture)

@@ -1,7 +1,6 @@
 #include "search/ternary.h"
 
 #include <algorithm>
-#include <array>
 
 #include "util/error.h"
 
@@ -9,33 +8,6 @@ namespace nanoleak::search {
 
 using logic::GateId;
 using logic::NetId;
-
-std::uint32_t truthMask(gates::GateKind kind) {
-  // Lazily computed once per kind from the cell topology's truth function.
-  static const std::array<std::uint32_t, 20> masks = [] {
-    std::array<std::uint32_t, 20> m{};
-    for (gates::GateKind k : gates::combinationalKinds()) {
-      const int pins = gates::inputCount(k);
-      std::uint32_t mask = 0;
-      for (std::uint32_t v = 0; v < (1u << pins); ++v) {
-        std::array<bool, 8> buf{};
-        for (int p = 0; p < pins; ++p) {
-          buf[static_cast<std::size_t>(p)] = ((v >> p) & 1u) != 0;
-        }
-        if (gates::evaluateGate(
-                k, std::span<const bool>(buf.data(),
-                                         static_cast<std::size_t>(pins)))) {
-          mask |= 1u << v;
-        }
-      }
-      m[static_cast<std::size_t>(k)] = mask;
-    }
-    return m;
-  }();
-  require(kind != gates::GateKind::kDff,
-          "truthMask: kDff has no combinational truth function");
-  return masks[static_cast<std::size_t>(kind)];
-}
 
 TernaryPropagator::TernaryPropagator(const logic::LogicNetlist& netlist)
     : netlist_(netlist), sources_(netlist.sourceNets()) {
@@ -48,7 +20,7 @@ TernaryPropagator::TernaryPropagator(const logic::LogicNetlist& netlist)
     topo_pos_[topo_gate_[i]] = i;
   }
   for (GateId g = 0; g < netlist.gateCount(); ++g) {
-    truth_[g] = truthMask(netlist.gate(g).kind);
+    truth_[g] = gates::truthTable(netlist.gate(g).kind);
   }
   trail_.reserve(netlist.netCount());
   level_start_.reserve(sources_.size());

@@ -34,11 +34,6 @@ enum class Ternary : unsigned char {
   kUnknown = 2,
 };
 
-/// Truth table of a combinational gate kind packed into a bitmask: bit v
-/// holds the output for input vector v (pin k of the vector in bit k,
-/// matching core::vectorIndex()).
-std::uint32_t truthMask(gates::GateKind kind);
-
 /// Incremental three-valued simulation of a LogicNetlist under a growing
 /// partial source assignment.
 ///
@@ -87,7 +82,7 @@ class TernaryPropagator {
   const logic::LogicNetlist& netlist_;
   std::vector<logic::NetId> sources_;
   std::vector<Ternary> value_;
-  std::vector<std::uint32_t> truth_;     // per gate, truthMask(kind)
+  std::vector<std::uint32_t> truth_;     // per gate, gates::truthTable()
   std::vector<std::size_t> topo_pos_;    // per gate, topological position
   std::vector<logic::GateId> topo_gate_;  // inverse of topo_pos_
 

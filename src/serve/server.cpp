@@ -260,8 +260,10 @@ void Server::handleFrame(const std::shared_ptr<Connection>& conn,
       respond(*conn, response);
       return;
     case scenario::ServeOp::kShutdown:
-      respond(*conn, response);
+      // Flag before ack, so a client holding the ack sees a draining
+      // daemon. The ack still goes out: wait() joins readers last.
       requestShutdown();
+      respond(*conn, response);
       return;
     case scenario::ServeOp::kRun:
     case scenario::ServeOp::kEstimate:

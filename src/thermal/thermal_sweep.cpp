@@ -145,19 +145,19 @@ ThermalCurve ThermalSweepEngine::run(
   for (std::size_t t = 0; t < set.temperatures.size(); ++t) {
     const core::EstimationPlan plan(netlist, set.libraries[t],
                                     estimator_options);
-    const std::vector<core::EstimateResult> results =
-        runner.runPatterns(plan, patterns);
+    const std::vector<device::LeakageBreakdown> totals =
+        runner.runPatternTotals(plan, patterns);
 
     ThermalPoint point;
     point.temperature_k = set.temperatures[t];
     device::LeakageBreakdown sum;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      sum += results[i].total;
-      const double total = results[i].total.total();
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      sum += totals[i];
+      const double total = totals[i].total();
       if (i == 0 || total < point.total_min) point.total_min = total;
       if (i == 0 || total > point.total_max) point.total_max = total;
     }
-    point.mean = sum.scaled(1.0 / static_cast<double>(results.size()));
+    point.mean = sum.scaled(1.0 / static_cast<double>(totals.size()));
     curve.points.push_back(point);
   }
 

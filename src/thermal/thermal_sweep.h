@@ -14,7 +14,7 @@
 ///     plain Characterizer lookup), and reuses those entries on repeated
 ///     sweeps at the same corners instead of re-characterizing,
 ///  3. builds an EstimationPlan per temperature and estimates every input
-///     pattern through BatchRunner::runPatterns (bit-identical at any
+///     pattern through BatchRunner::runPatternTotals (bit-identical at any
 ///     thread count),
 ///  4. reduces each temperature to the mean leakage decomposition and fits
 ///     linear / exponential / piecewise-linear models per component
@@ -22,7 +22,7 @@
 ///
 /// Determinism: a ThermalCurve is a pure function of (netlist, patterns,
 /// options); characterization is sequential per fixture, estimation rides
-/// the bit-identical runPatterns contract, and all reductions and fits sum
+/// the bit-identical runPatternTotals contract, and all reductions and fits sum
 /// in fixed order - thread count never changes a bit (pinned by
 /// tests/thermal/thermal_sweep_test.cpp).
 #pragma once

@@ -6,10 +6,8 @@ ParseError::ParseError(const std::string& what, int line)
     : Error(line > 0 ? what + " (line " + std::to_string(line) + ")" : what),
       line_(line) {}
 
-void require(bool condition, const std::string& message) {
-  if (!condition) {
-    throw Error(message);
-  }
-}
+void throwError(const char* message) { throw Error(message); }
+
+void throwError(const std::string& message) { throw Error(message); }
 
 }  // namespace nanoleak

@@ -29,9 +29,29 @@ class ConvergenceError : public Error {
   explicit ConvergenceError(const std::string& what) : Error(what) {}
 };
 
+/// Throws nanoleak::Error with `message`. Out of line and never returning,
+/// so the inline require() overloads compile to a compare and a branch.
+/// Call sites whose message is concatenated call it directly, behind their
+/// own condition, so the message is only built when the check fails.
+[[noreturn]] void throwError(const char* message);
+[[noreturn]] void throwError(const std::string& message);
+
 /// Throws nanoleak::Error with `message` if `condition` is false.
 /// Used for precondition checks on public API boundaries (I.5/I.6 of the
-/// C++ Core Guidelines: state and check preconditions).
-void require(bool condition, const std::string& message);
+/// C++ Core Guidelines: state and check preconditions). String literals
+/// bind to this overload without building a std::string, so a passing
+/// check allocates nothing.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] {
+    throwError(message);
+  }
+}
+
+/// As above, for a message that is already a std::string.
+inline void require(bool condition, const std::string& message) {
+  if (!condition) [[unlikely]] {
+    throwError(message);
+  }
+}
 
 }  // namespace nanoleak

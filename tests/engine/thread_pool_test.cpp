@@ -93,36 +93,51 @@ TEST(ThreadPoolTest, RejectsEmptyBody) {
 }
 
 TEST(ThreadPoolTest, CancellationSkipsUnclaimedChunks) {
-  // Deterministic cancellation coverage for the runChunks catch block:
-  // with 4 threads and every thread parked inside its first chunk, the
-  // thrower's exception must keep the remaining 996 chunks from ever
-  // being claimed - exactly 4 bodies run.
+  // Checks exactly what parallelFor guarantees after a chunk throws on
+  // the parallel path (see thread_pool.h; InlinePathStopsAtTheThrowingChunk
+  // covers the inline path). How many chunks other threads start before
+  // the pool catches the throw is unspecified, so it is not checked.
   constexpr int kThreads = 4;
+  constexpr std::size_t kChunks = 1000;
+  constexpr std::size_t kThrowing = 3;
   ThreadPool pool(kThreads);
+  std::vector<std::atomic<int>> runs(kChunks);
   std::atomic<int> started{0};
-  std::atomic<int> executed{0};
-  std::atomic<bool> throw_done{false};
+  std::atomic<int> finished{0};
+  std::atomic<bool> threw{false};
+  std::atomic<bool> thrower_started_again{false};
+  std::thread::id thrower;  // written before `threw` is set
 
   EXPECT_THROW(
-      pool.parallelFor(1000, 1,
-                       [&](std::size_t, std::size_t) {
-                         executed.fetch_add(1);
-                         const bool thrower = started.fetch_add(1) == 0;
-                         if (thrower) {
-                           // Wait until every other thread is inside a
-                           // chunk, so no one can claim more work.
-                           while (started.load() < kThreads) {
-                             std::this_thread::yield();
-                           }
-                           throw_done.store(true);
-                           throw std::runtime_error("cancel the rest");
-                         }
-                         while (!throw_done.load()) {
-                           std::this_thread::yield();
-                         }
-                       }),
+      pool.parallelFor(
+          kChunks, 1,
+          [&](std::size_t begin, std::size_t) {
+            if (threw.load() && std::this_thread::get_id() == thrower) {
+              thrower_started_again.store(true);
+            }
+            started.fetch_add(1);
+            runs[begin].fetch_add(1);
+            if (begin == kThrowing) {
+              // Let the other threads claim chunks meanwhile, so the
+              // throw races real claims.
+              while (started.load() < kThreads) {
+                std::this_thread::yield();
+              }
+              thrower = std::this_thread::get_id();
+              threw.store(true);
+              finished.fetch_add(1);
+              throw std::runtime_error("cancel the rest");
+            }
+            finished.fetch_add(1);
+          }),
       std::runtime_error);
-  EXPECT_EQ(executed.load(), kThreads);
+
+  // Every started chunk finished before parallelFor rethrew.
+  EXPECT_EQ(started.load(), finished.load());
+  EXPECT_FALSE(thrower_started_again.load());
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    EXPECT_LE(runs[i].load(), 1) << "chunk " << i;
+  }
 
   // The cancelled job left no residue: the next loop visits every index.
   std::atomic<std::size_t> visited{0};
@@ -139,7 +154,9 @@ TEST(ThreadPoolTest, ConcurrentPoolsFailIndependently) {
   constexpr int kOwners = 4;
   std::vector<std::thread> owners;
   std::vector<std::size_t> sums(kOwners, 0);
-  std::vector<bool> threw(kOwners, false);
+  // char, not bool: std::vector<bool> packs the owners' flags into one
+  // word, and concurrent writes to it race.
+  std::vector<char> threw(kOwners, 0);
   for (int i = 0; i < kOwners; ++i) {
     owners.emplace_back([&, i] {
       ThreadPool pool(2);
@@ -157,7 +174,7 @@ TEST(ThreadPoolTest, ConcurrentPoolsFailIndependently) {
           });
           sums[i] += sum.load();
         } catch (const Error&) {
-          threw[i] = true;
+          threw[i] = 1;
         }
       }
     });
@@ -166,7 +183,7 @@ TEST(ThreadPoolTest, ConcurrentPoolsFailIndependently) {
     owner.join();
   }
   for (int i = 0; i < kOwners; ++i) {
-    EXPECT_EQ(threw[i], i % 2 == 0) << "owner " << i;
+    EXPECT_EQ(threw[i] != 0, i % 2 == 0) << "owner " << i;
     // Two clean rounds of sum 0..99 always complete, even next to
     // failing neighbours.
     EXPECT_GE(sums[i], 2u * 4950u) << "owner " << i;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -181,6 +183,40 @@ TEST(GateLibraryTest, DffHasNoTopology) {
   EXPECT_FALSE(hasTopology(GateKind::kDff));
   EXPECT_THROW(cellTopology(GateKind::kDff), Error);
   EXPECT_EQ(inputCount(GateKind::kDff), 1);
+}
+
+TEST(TruthTableTest, MatchesSwitchNetworksOnEveryVector) {
+  // The per-kind truth table must agree with the switch networks it was
+  // derived from, and evaluateGate() with both, on every input vector of
+  // every combinational kind.
+  ASSERT_EQ(combinationalKinds().size(), 19u);
+  for (GateKind kind : combinationalKinds()) {
+    const std::uint32_t table = truthTable(kind);
+    const auto pins = static_cast<std::size_t>(inputCount(kind));
+    const std::size_t vectors = std::size_t{1} << pins;
+    for (std::size_t v = 0; v < vectors; ++v) {
+      std::array<bool, 8> in{};
+      for (std::size_t k = 0; k < pins; ++k) {
+        in[k] = ((v >> k) & 1u) != 0;
+      }
+      const std::span<const bool> inputs(in.data(), pins);
+      const bool expected = evaluateStages(kind, inputs).back();
+      EXPECT_EQ(((table >> v) & 1u) != 0, expected)
+          << toString(kind) << " v=" << v;
+      EXPECT_EQ(evaluateGate(kind, inputs), expected)
+          << toString(kind) << " v=" << v;
+    }
+    // No bits beyond the kind's input vectors.
+    EXPECT_EQ(table >> vectors, 0u) << toString(kind);
+  }
+}
+
+TEST(TruthTableTest, RejectsSequentialKinds) {
+  EXPECT_THROW(truthTable(GateKind::kDff), Error);
+  const std::array<bool, 1> one{true};
+  EXPECT_THROW(evaluateGate(GateKind::kDff,
+                            std::span<const bool>(one.data(), 1)),
+               Error);
 }
 
 TEST(GateLibraryTest, ArityMismatchThrows) {

@@ -42,6 +42,18 @@ TEST(LogicSimTest, SourceCountMismatchThrows) {
   const LogicNetlist nl = inverterChain(2);
   const LogicSimulator sim(nl);
   EXPECT_THROW(sim.simulate({true, false}), Error);
+  // The message names the expected and the offending count.
+  try {
+    std::vector<bool> values = sim.simulate({true});
+    std::vector<GateId> dirty;
+    std::vector<NetId> changed;
+    DeltaSimScratch scratch;
+    sim.simulateDelta({true, false, true}, values, dirty, changed, scratch);
+    FAIL() << "expected nanoleak::Error";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(),
+                 "LogicSimulator: expected 1 source values, got 3");
+  }
 }
 
 TEST(LogicSimTest, DffOutputsAreSources) {

@@ -1,14 +1,13 @@
-// Building blocks of the sleep-vector search: truth masks, ternary
-// propagation + trail, per-(gate, vector) leakage intervals, and the
-// incremental bound tracker. Each block's contract is checked against a
-// straightforward recomputation (full logic simulation, full estimates).
+// Building blocks of the sleep-vector search: ternary propagation + trail,
+// per-(gate, vector) leakage intervals, and the incremental bound tracker.
+// Each block's contract is checked against a straightforward recomputation
+// (full logic simulation, full estimates). The gate truth tables the
+// propagator reads are pinned in tests/gates/gate_library_test.cpp.
 #include "search/bounds.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/characterizer.h"
@@ -16,7 +15,6 @@
 #include "logic/logic_sim.h"
 #include "search/activity_heap.h"
 #include "search/ternary.h"
-#include "util/error.h"
 #include "util/rng.h"
 
 namespace nanoleak::search {
@@ -30,27 +28,6 @@ const core::LeakageLibrary& lib() {
         .characterize();
   }();
   return library;
-}
-
-TEST(TruthMaskTest, MatchesEvaluateGateOnEveryVector) {
-  for (const gates::GateKind kind : gates::combinationalKinds()) {
-    const std::uint32_t mask = truthMask(kind);
-    const std::size_t pins = static_cast<std::size_t>(gates::inputCount(kind));
-    for (std::size_t v = 0; v < (std::size_t{1} << pins); ++v) {
-      bool inputs[8] = {};
-      for (std::size_t k = 0; k < pins; ++k) {
-        inputs[k] = (v >> k) & 1u;
-      }
-      const bool expected =
-          gates::evaluateGate(kind, std::span<const bool>(inputs, pins));
-      EXPECT_EQ((mask >> v) & 1u, expected ? 1u : 0u)
-          << "kind " << static_cast<int>(kind) << " vector " << v;
-    }
-  }
-}
-
-TEST(TruthMaskTest, RejectsSequentialKinds) {
-  EXPECT_THROW(truthMask(gates::GateKind::kDff), Error);
 }
 
 TEST(TernaryPropagatorTest, KnownNetsAlwaysAgreeWithFullSimulation) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+
 #include "util/linalg.h"
 
 namespace nanoleak {
@@ -15,6 +18,30 @@ TEST(ErrorTest, RequireThrowsWithMessage) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "boom");
   }
+}
+
+// Every require() overload and throwError() throws exactly nanoleak::Error
+// carrying the message verbatim. The messages here are longer than the
+// small-string buffer, the case where building one allocates.
+TEST(ErrorTest, RequireOverloadsThrowErrorWithExactMessage) {
+  const char* const literal = "a literal message past the small-string size";
+  const std::string built =
+      "a built message: expected " + std::to_string(5) + ", got 3";
+  EXPECT_NO_THROW(require(true, literal));
+  EXPECT_NO_THROW(require(true, built));
+  const auto expectThrows = [](const auto& fn, const std::string& message) {
+    try {
+      fn();
+      FAIL() << "expected throw: " << message;
+    } catch (const Error& e) {
+      EXPECT_EQ(typeid(e), typeid(Error));
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  };
+  expectThrows([&] { require(false, literal); }, literal);
+  expectThrows([&] { require(false, built); }, built);
+  expectThrows([&] { throwError(literal); }, literal);
+  expectThrows([&] { throwError(built); }, built);
 }
 
 TEST(ErrorTest, ParseErrorCarriesLine) {
