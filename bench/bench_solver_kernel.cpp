@@ -1,10 +1,12 @@
 // SolverKernel bench: legacy (interpreted DcSolver) vs compiled kernel vs
-// kernel + warm-started continuation vs the SIMD lane-parallel batch
-// kernel, across the three workloads the kernels accelerate:
+// kernel + warm-started continuation vs the kernel's SIMD lane entry point
+// (SolverKernel::solveLanes), across the three workloads the kernel
+// accelerates:
 //  1. full-library characterization (the tentpole target: >= 3x compiled,
 //     >= 2x batched-over-scalar-compiled at lane width > 1),
 //  2. golden full-circuit re-solves over repeated vectors,
-//  3. paired Monte-Carlo trials (scalar compiled vs lane-parallel batched).
+//  3. paired Monte-Carlo trials (legacy rebuild-per-trial vs compiled
+//     warm-started fixtures, both through MonteCarloEngine::runSample).
 //
 // Emits BENCH_solver.json (node-solves/sec and wall-clock per mode, plus
 // the configured SIMD backend and lane width) and EXITS NON-ZERO when the
@@ -33,8 +35,6 @@
 #include "circuit/solver_stats.h"
 #include "core/characterizer.h"
 #include "core/golden.h"
-#include "engine/batch_runner.h"
-#include "engine/sweep.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
 #include "mc/monte_carlo.h"
@@ -258,9 +258,7 @@ struct McBench {
   std::size_t samples = 0;
   ModeResult legacy;
   ModeResult compiled;
-  ModeResult batched;
   double max_rel_diff = 0.0;
-  double batched_max_rel_diff = 0.0;
 };
 
 McBench benchMonteCarlo(const device::Technology& tech, std::size_t samples,
@@ -268,25 +266,24 @@ McBench benchMonteCarlo(const device::Technology& tech, std::size_t samples,
   McBench result;
   result.samples = samples;
   const mc::VariationSigmas sigmas;
+  const auto population = [&](const mc::MonteCarloEngine& engine) {
+    std::vector<mc::McSample> out;
+    out.reserve(samples);
+    for (std::size_t i = 0; i < samples; ++i) {
+      out.push_back(engine.runSample(97, i));
+    }
+    return out;
+  };
 
   mc::MonteCarloEngine legacy(tech, sigmas);
   legacy.setUseCompiledFixtures(false);
   std::vector<mc::McSample> legacy_samples;
-  result.legacy =
-      timed([&] { legacy_samples = legacy.runBatched(samples, 97); });
+  result.legacy = timed([&] { legacy_samples = population(legacy); });
 
-  // Scalar compiled path: one warm-started solve per trial.
-  mc::MonteCarloEngine compiled(tech, sigmas);
-  compiled.setUseBatchedSolves(false);
+  // Compiled path: one warm-started solve per trial on pooled fixtures.
+  const mc::MonteCarloEngine compiled(tech, sigmas);
   std::vector<mc::McSample> compiled_samples;
-  result.compiled =
-      timed([&] { compiled_samples = compiled.runBatched(samples, 97); });
-
-  // Lane-parallel path (the default): kLaneWidth trials per lockstep solve.
-  mc::MonteCarloEngine batched(tech, sigmas);
-  std::vector<mc::McSample> batched_samples;
-  result.batched =
-      timed([&] { batched_samples = batched.runBatched(samples, 97); });
+  result.compiled = timed([&] { compiled_samples = population(compiled); });
 
   for (std::size_t i = 0; i < samples; ++i) {
     result.max_rel_diff =
@@ -295,21 +292,10 @@ McBench benchMonteCarlo(const device::Technology& tech, std::size_t samples,
                           compiled_samples[i].with_loading.total()),
                   relDiff(legacy_samples[i].without_loading.total(),
                           compiled_samples[i].without_loading.total())});
-    result.batched_max_rel_diff =
-        std::max({result.batched_max_rel_diff,
-                  relDiff(compiled_samples[i].with_loading.total(),
-                          batched_samples[i].with_loading.total()),
-                  relDiff(compiled_samples[i].without_loading.total(),
-                          batched_samples[i].without_loading.total())});
   }
   if (result.max_rel_diff > 1e-6) {
     failures.push_back({"monte-carlo: compiled trials drift " +
                         formatDouble(result.max_rel_diff, 12) + " > 1e-6"});
-  }
-  if (result.batched_max_rel_diff > 1e-6) {
-    failures.push_back({"monte-carlo: lane-batched trials drift " +
-                        formatDouble(result.batched_max_rel_diff, 12) +
-                        " > 1e-6 from the scalar compiled path"});
   }
   return result;
 }
@@ -486,13 +472,10 @@ int main(int argc, char** argv) {
   printModeTable("Monte-Carlo paired trials (" +
                      std::to_string(mc_samples) + " samples)",
                  {{"legacy (rebuild/trial)", mcb.legacy},
-                  {"compiled + warm-start", mcb.compiled},
-                  {"batched (lane-parallel)", mcb.batched}},
+                  {"compiled + warm-start", mcb.compiled}},
                  mcb.legacy.seconds);
   std::cout << "max rel diff vs legacy: "
-            << formatDouble(mcb.max_rel_diff, 12) << "\n"
-            << "batched max rel diff vs scalar compiled: "
-            << formatDouble(mcb.batched_max_rel_diff, 12) << "\n";
+            << formatDouble(mcb.max_rel_diff, 12) << "\n";
 
   // 4. Observability overhead (opt-in: timing probes add bench time).
   ObsOverhead obs;
@@ -509,13 +492,10 @@ int main(int argc, char** argv) {
 
   const double char_speedup =
       chr.legacy.seconds / std::max(1e-12, chr.warm.seconds);
-  // The lane-parallel acceptance ratios: batched vs the scalar compiled
-  // path doing the same work (warm-started characterization scan, scalar
-  // per-trial MC).
+  // The lane-parallel acceptance ratio: batched vs the scalar compiled
+  // path doing the same work (the warm-started characterization scan).
   const double char_batched_vs_warm =
       chr.warm.seconds / std::max(1e-12, chr.batched.seconds);
-  const double mc_batched_vs_compiled =
-      mcb.compiled.seconds / std::max(1e-12, mcb.batched.seconds);
 
   // BENCH_solver.json.
   std::ostringstream json;
@@ -567,16 +547,12 @@ int main(int argc, char** argv) {
   json << "  ],\n  \"monte_carlo\": {\n    \"samples\": " << mcb.samples
        << ",\n    \"legacy_s\": " << formatDouble(mcb.legacy.seconds, 4)
        << ",\n    \"compiled_s\": " << formatDouble(mcb.compiled.seconds, 4)
-       << ",\n    \"batched_s\": " << formatDouble(mcb.batched.seconds, 4)
        << ",\n    \"speedup\": "
        << formatDouble(mcb.legacy.seconds /
                            std::max(1e-12, mcb.compiled.seconds),
                        3)
-       << ",\n    \"speedup_batched_vs_compiled\": "
-       << formatDouble(mc_batched_vs_compiled, 3)
        << ",\n    \"max_rel_diff\": " << formatDouble(mcb.max_rel_diff, 12)
-       << ",\n    \"batched_max_rel_diff\": "
-       << formatDouble(mcb.batched_max_rel_diff, 12) << "\n  },\n";
+       << "\n  },\n";
   if (obs_overhead) {
     json << "  \"obs_overhead_pct\": " << formatDouble(obs.overheadPct(), 3)
          << ",\n";
@@ -595,10 +571,9 @@ int main(int argc, char** argv) {
   std::cout << "\ncharacterization speedup (kernel+warm vs legacy): "
             << formatDouble(char_speedup, 2) << "x (target >= 3x on the "
             << "full workload)\n"
-            << "lane-parallel speedup vs scalar compiled path "
-            << "(characterization " << formatDouble(char_batched_vs_warm, 2)
-            << "x, monte-carlo " << formatDouble(mc_batched_vs_compiled, 2)
-            << "x; target >= 2x on one of them at lane width > 1)\n";
+            << "lane-parallel characterization speedup vs the scalar "
+            << "warm scan: " << formatDouble(char_batched_vs_warm, 2)
+            << "x (target >= 2x at lane width > 1)\n";
 
   if (!failures.empty()) {
     std::cerr << "\nEQUIVALENCE FAILURES:\n";

@@ -1,13 +1,14 @@
-// Thermal sweep bench: how much the ThermalCharacterizer's fixture reuse
-// and temperature-continuation warm starts buy over per-temperature fresh
-// characterization, across three modes:
+// Thermal sweep bench: how much core::Characterizer's temperature axis -
+// fixture reuse plus temperature-continuation warm starts - buys over
+// per-temperature fresh characterization, across three modes:
 //  1. fresh/cold  - a new core::Characterizer per temperature, compiled
 //                   kernels, cold seeds (the reference),
-//  2. reuse/cold  - ThermalCharacterizer Mode::kCold: fixtures compiled
-//                   once, coefficients re-bound per temperature, cold
-//                   seeds. MUST be bit-identical to mode 1 (the
+//  2. reuse/cold  - the temperature axis on the kCompiled path: fixtures
+//                   compiled once, coefficients re-bound per temperature,
+//                   cold seeds. MUST be bit-identical to mode 1 (the
 //                   DeviceCoeffs re-bind-at-T equivalence),
-//  3. reuse/warm  - Mode::kWarmStart: adds the temperature-continuation
+//  3. reuse/warm  - the axis on the kCompiledWarmStart path (the thermal
+//                   sweep default): adds the temperature-continuation
 //                   seeds. Must agree with mode 1 within solver tolerance.
 //
 // Emits bench/out/BENCH_thermal.json (wall-clock, node solves and
@@ -35,7 +36,6 @@
 #include "core/characterizer.h"
 #include "engine/batch_runner.h"
 #include "scenario/scenario.h"
-#include "thermal/thermal_characterizer.h"
 #include "thermal/thermal_sweep.h"
 #include "util/table_writer.h"
 
@@ -78,8 +78,9 @@ struct Failure {
 };
 
 /// Fresh per-temperature characterization, compiled kernels, cold seeds:
-/// the reference the thermal modes are gated against. Layout matches
-/// ThermalCharacterizer::characterizeKind: result[kind][t][vec].
+/// the reference the temperature-axis modes are gated against. Layout
+/// matches the axis (Characterizer::characterizeKind(kind, temperatures)):
+/// result[kind][t][vec].
 std::vector<PerTemperatureTables> freshColdTables(
     const device::Technology& base,
     const std::vector<gates::GateKind>& kinds,
@@ -181,25 +182,30 @@ int main(int argc, char** argv) {
     fresh = freshColdTables(base, kinds, temperatures, char_options);
   });
 
+  // Modes 2 and 3: the temperature axis, one fixture per (kind, vector).
+  const auto axisTables = [&](core::CharacterizationOptions::SolverPath path) {
+    core::CharacterizationOptions options = char_options;
+    options.solver_path = path;
+    const core::Characterizer chr(base, options);
+    std::vector<PerTemperatureTables> out;
+    for (gates::GateKind kind : kinds) {
+      out.push_back(chr.characterizeKind(kind, temperatures));
+    }
+    return out;
+  };
+
   // Mode 2: fixture reuse, cold seeds - must be bit-identical to fresh.
   std::vector<PerTemperatureTables> reuse_cold;
   const ModeResult reuse_cold_mode = timed([&] {
-    const thermal::ThermalCharacterizer chr(
-        base, char_options, thermal::ThermalCharacterizer::Mode::kCold);
-    for (gates::GateKind kind : kinds) {
-      reuse_cold.push_back(chr.characterizeKind(kind, temperatures));
-    }
+    reuse_cold =
+        axisTables(core::CharacterizationOptions::SolverPath::kCompiled);
   });
 
   // Mode 3: fixture reuse + temperature continuation.
   std::vector<PerTemperatureTables> reuse_warm;
   const ModeResult reuse_warm_mode = timed([&] {
-    const thermal::ThermalCharacterizer chr(
-        base, char_options,
-        thermal::ThermalCharacterizer::Mode::kWarmStart);
-    for (gates::GateKind kind : kinds) {
-      reuse_warm.push_back(chr.characterizeKind(kind, temperatures));
-    }
+    reuse_warm = axisTables(
+        core::CharacterizationOptions::SolverPath::kCompiledWarmStart);
   });
 
   bool cold_bit_identical = true;
@@ -252,7 +258,7 @@ int main(int argc, char** argv) {
   nanoleak::bench::banner("ThermalSweepEngine end-to-end (c17 x d25s)");
   thermal::ThermalSweepOptions sweep_options;
   sweep_options.grid = grid;
-  sweep_options.characterization = char_options;
+  sweep_options.characterization.loading_grid = char_options.loading_grid;
   const thermal::ThermalSweepEngine engine(base, sweep_options);
   engine::BatchRunner runner;
   const logic::LogicNetlist netlist = scenario::buildCircuit("c17");

@@ -1,23 +1,46 @@
-// Compiled form of a Netlist for repeated DC solves.
-//
-// Compiling flattens the netlist into SoA terminal/coefficient arrays with
-// every bias-independent device quantity precomputed once (see
-// device/compiled_model.h) and a CSR node -> incident-(device, terminal)
-// adjacency, so the per-node residuals the Gauss-Seidel driver evaluates
-// thousands of times touch only incident devices through flat arrays -
-// no per-solve incidence rebuild, no pow/log in the hot loop.
-//
-// Results are bit-identical to DcSolver on the same netlist, seed and
-// sweep order: both run the identical solver_core driver, and the compiled
-// device evaluation is bit-identical to Mosfet by contract (pinned by
-// tests/circuit/solver_kernel_test.cpp).
-//
-// Re-binding: loading-current sweeps (setSource), rail/pattern changes
-// (setFixedVoltage) and Monte-Carlo per-device variations
-// (rebindVariations) mutate the compiled state in place - topology is
-// never rebuilt. Compile once per (topology); re-bind and re-solve many.
+/// \file
+/// Compiled form of a Netlist for repeated DC solves.
+///
+/// Compiling flattens the netlist into SoA terminal/coefficient arrays with
+/// every bias-independent device quantity precomputed once (see
+/// device/compiled_model.h) and a CSR node -> incident-(device, terminal)
+/// adjacency, so the per-node residuals the Gauss-Seidel driver evaluates
+/// thousands of times touch only incident devices through flat arrays -
+/// no per-solve incidence rebuild, no pow/log in the hot loop.
+///
+/// Results are bit-identical to DcSolver on the same netlist, seed and
+/// sweep order: both run the identical solver_core driver, and the compiled
+/// device evaluation is bit-identical to Mosfet by contract (pinned by
+/// tests/circuit/solver_kernel_test.cpp).
+///
+/// Re-binding: loading-current sweeps (setSource), rail/pattern changes
+/// (setFixedVoltage) and Monte-Carlo per-device variations
+/// (rebindVariations) mutate the compiled state in place - topology is
+/// never rebuilt. Compile once per (topology); re-bind and re-solve many.
+///
+/// Lanes: solveLanes() solves up to kLaneWidth operating points at once,
+/// one SIMD lane each (util::Lanes). Lanes share everything the kernel
+/// holds - temperature, coefficients, rails, options - and differ only in
+/// the source currents and seeds their LaneRequest carries, so the kernel
+/// keeps no per-lane state. Strategy:
+///  * Lockstep sweeps - the Gauss-Seidel/cluster-Newton machinery of
+///    solver_core.h re-expressed over util::Lanes: one vectorized residual
+///    evaluation walks the CSR incidence and evaluates every lane's device
+///    currents at once (device/lane_model.h, coefficients broadcast).
+///  * Convergence masking - lanes that meet tolerance freeze (their
+///    voltages stop moving and their work counters stop) while straggler
+///    lanes keep iterating; masked blends keep frozen lanes' values exact.
+///  * Scalar fallback - any lane the lockstep path fails to converge is
+///    re-solved from its original request through the scalar solve() path
+///    on that lane's injected currents, bit-identical to solve() with the
+///    same source currents bound. On the width-1 scalar backend every lane
+///    takes it, so solveLanes() is bit-exact against solve() there.
+/// Vectorized lockstep lanes agree with solve() within 1e-6 (gated by
+/// bench_solver_kernel and tests/circuit/solver_kernel_lanes_test.cpp).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -27,11 +50,19 @@
 #include "device/compiled_model.h"
 #include "device/leakage_breakdown.h"
 #include "device/mosfet.h"
+#include "util/simd.h"
 
 namespace nanoleak::circuit {
 
+/// A Netlist compiled for repeated DC solves (see file comment): scalar
+/// solve() bit-identical to DcSolver, lane solves via solveLanes(), and
+/// in-place re-binding of sources, rails, temperature and variations.
 class SolverKernel {
  public:
+  /// Lanes per solveLanes() call on the configured backend (1 scalar,
+  /// 2 NEON, 4 AVX2).
+  static constexpr std::size_t kLaneWidth = util::kNativeLaneWidth;
+
   /// Compiles `netlist` (topology, fixed bindings, sources, device
   /// coefficients at options.temperature_k). The netlist itself is not
   /// retained - the kernel is self-contained.
@@ -47,6 +78,32 @@ class SolverKernel {
   Solution solve(const std::vector<double>& initial_guess = {},
                  const std::vector<NodeId>& sweep_order = {},
                  const std::vector<double>* cluster_guess = nullptr) const;
+
+  /// One lane of a solveLanes() call.
+  struct LaneRequest {
+    /// This lane's current of every source [A], in source order (the
+    /// currents setSource() binds are not used).
+    std::span<const double> source_amps;
+    /// Starting node voltages; null means a cold (mid-bracket) start.
+    const std::vector<double>* initial_guess = nullptr;
+    /// Logic-level voltages for ON/OFF cluster classification, as in
+    /// solve(); may be null.
+    const std::vector<double>* cluster_guess = nullptr;
+  };
+
+  /// Solves 1..kLaneWidth operating points in SIMD lockstep (see file
+  /// comment) and returns one Solution per request, in request order.
+  /// Non-convergence is reported through Solution::converged, never
+  /// thrown, so callers can name the failing lane.
+  std::vector<Solution> solveLanes(
+      std::span<const LaneRequest> requests) const;
+
+  /// Test hook: caps solveLanes()' lockstep sweep budget (default: the
+  /// options' max_sweeps). 0 sends every lane straight to the scalar
+  /// fallback.
+  void setMaxLockstepSweeps(std::size_t sweeps) {
+    max_lockstep_sweeps_ = sweeps;
+  }
 
   /// Re-targets a current source (mirrors Netlist::setCurrentSource).
   void setSource(SourceId source, double amps);
@@ -72,16 +129,16 @@ class SolverKernel {
   std::vector<device::LeakageBreakdown> leakageByOwner(
       const std::vector<double>& voltages, std::size_t owner_count) const;
 
+  /// Number of nodes (fixed and free) of the compiled netlist.
   std::size_t nodeCount() const { return fixed_.size(); }
+  /// Number of compiled device instances.
   std::size_t deviceCount() const { return coeffs_.size(); }
+  /// The bound solver options.
   const SolverOptions& options() const { return options_; }
 
  private:
   friend struct KernelEvaluator;
-  /// The batch solver reuses this kernel's compiled topology (CSR
-  /// incidence, SoA terminal arrays) as the shared read-only skeleton its
-  /// per-lane state hangs off; see circuit/batch_solver_kernel.h.
-  friend class BatchSolverKernel;
+  static constexpr std::size_t W = kLaneWidth;
 
   /// Terminal codes match the per-device push order (gate, drain, source,
   /// bulk) so CSR entries accumulate in the same order DcSolver's
@@ -91,8 +148,41 @@ class SolverKernel {
     std::uint32_t terminal;  // 0 gate, 1 drain, 2 source, 3 bulk
   };
 
-  double residual(const std::vector<double>& voltages, NodeId node) const;
-  void recomputeInjected(NodeId node);
+  /// KCL residual at `node` with per-node injected currents `injected`.
+  double residual(const std::vector<double>& voltages, NodeId node,
+                  const std::vector<double>& injected) const;
+  /// Sum of `amps` over the sources at `node`, in source order.
+  double injectedAt(NodeId node, std::span<const double> amps) const;
+  /// Per-node injected currents of `amps` (one current per source).
+  std::vector<double> injectedFor(std::span<const double> amps) const;
+  /// The scalar driver on the compiled devices with `injected` currents.
+  Solution solveInjected(const std::vector<double>& injected,
+                         const std::vector<double>& initial_guess,
+                         const std::vector<NodeId>& sweep_order,
+                         const std::vector<double>* cluster_guess) const;
+  /// Masked lockstep Gauss-Seidel over the requested lanes. Fills
+  /// `results` and clears `pending` for lanes that converged; lanes still
+  /// pending afterwards take the scalar fallback.
+  void solveLockstep(std::span<const LaneRequest> requests,
+                     const std::vector<std::vector<double>>& injected,
+                     std::size_t sweep_budget, std::vector<Solution>& results,
+                     std::array<bool, W>& pending) const;
+
+  /// f(drain, source) for every device whose drain and source are free
+  /// and whose channel is ON at `voltages`, in device order.
+  template <typename F>
+  void forOnPairs(const std::vector<double>& voltages, F&& f) const {
+    for (std::size_t i = 0; i < coeffs_.size(); ++i) {
+      if (fixed_[drain_[i]] || fixed_[source_[i]]) {
+        continue;
+      }
+      const device::BiasPoint bias{voltages[gate_[i]], voltages[drain_[i]],
+                                   voltages[source_[i]], voltages[bulk_[i]]};
+      if (!device::compiledIsOff(coeffs_[i], bias)) {
+        f(drain_[i], source_[i]);
+      }
+    }
+  }
 
   SolverOptions options_;
 
@@ -116,11 +206,15 @@ class SolverKernel {
   std::vector<std::size_t> incidence_offset_;
   std::vector<IncidenceEntry> incidence_;
 
-  // Current sources, plus CSR node -> source indices (in source order, so
-  // per-node injected sums accumulate like Netlist::injectedCurrent).
-  std::vector<CurrentSource> sources_;
+  // Current sources (node, bound amps), plus CSR node -> source indices
+  // (in source order, so per-node injected sums accumulate like
+  // Netlist::injectedCurrent).
+  std::vector<NodeId> source_node_;
+  std::vector<double> source_amps_;
   std::vector<std::size_t> source_offset_;
   std::vector<std::size_t> source_index_;
+
+  std::size_t max_lockstep_sweeps_ = static_cast<std::size_t>(-1);
 };
 
 }  // namespace nanoleak::circuit

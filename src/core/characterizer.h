@@ -1,6 +1,7 @@
 /// @file
 /// Builds LeakageLibrary tables by sweeping LoadingFixture solves over a
-/// loading-current grid for every (gate kind, input vector).
+/// loading-current grid for every (gate kind, input vector), optionally
+/// along a temperature axis.
 #pragma once
 
 #include <vector>
@@ -19,13 +20,15 @@ struct CharacterizationOptions {
   ///  * kCompiled: one SolverKernel per (kind, vector) fixture, cold
   ///    seeds. Bit-identical tables to kLegacy, ~2x faster.
   ///  * kCompiledWarmStart: compiled kernel plus continuation - each grid
-  ///    solve is seeded from the neighbouring grid point's solution.
+  ///    solve is seeded from the neighbouring grid point's solution, and
+  ///    on a temperature axis each row start (i, 0) after the first
+  ///    temperature from the same grid point at the previous temperature.
   ///    Tables agree with kLegacy within solver tolerance (~1e-8
   ///    relative), not bitwise.
   ///  * kBatched (default): lane-parallel SIMD lockstep - up to
   ///    LoadingFixture::kBatchLanes grid points of a row solve
-  ///    simultaneously on a BatchSolverKernel, each column seeded from the
-  ///    same column of the previous row (column-wise continuation, the
+  ///    simultaneously (SolverKernel::solveLanes), each column seeded from
+  ///    the same column of the previous row (column-wise continuation, the
   ///    lane-independent analogue of kCompiledWarmStart's scan-order
   ///    continuation). Tables agree with kCompiledWarmStart within solver
   ///    tolerance (<= 1e-6 relative; the continuation seeds and the
@@ -61,8 +64,23 @@ class Characterizer {
   /// thousand small DC solves.
   LeakageLibrary characterize() const;
 
-  /// Characterizes a single kind (all vectors).
+  /// Characterizes a single kind (all vectors) at the technology's
+  /// temperature: characterizeKind(kind, {technology().temperature_k})[0].
   std::vector<VectorTable> characterizeKind(gates::GateKind kind) const;
+
+  /// Characterizes a single kind at every temperature of `temperatures`
+  /// (strictly increasing): result[t][v] is the table of input vector v
+  /// at temperatures[t]; the technology's own temperature is not used.
+  /// Each (kind, vector) fixture is built once, at temperatures[0], and
+  /// re-bound before each later temperature
+  /// (LoadingFixture::rebindTemperature), which changes no bit: on the
+  /// kLegacy, kCompiled and kBatched paths result[t] is bit-identical to
+  /// a Characterizer built at temperatures[t]. kCompiledWarmStart adds the
+  /// cross-temperature seeds (see SolverPath), so its tables depend on
+  /// the whole list. Throws nanoleak::Error on an empty or non-increasing
+  /// list and ConvergenceError if a solve fails.
+  std::vector<std::vector<VectorTable>> characterizeKind(
+      gates::GateKind kind, const std::vector<double>& temperatures) const;
 
   /// The technology corner being characterized.
   const device::Technology& technology() const { return technology_; }

@@ -102,65 +102,62 @@ FixtureResult LoadingFixture::solve() const {
   if (!solution.converged) {
     throwNonConvergence(solution);
   }
-  return extractResult(std::move(solution), technology_.temperature_k);
+  return extractResult(std::move(solution));
+}
+
+circuit::SolverKernel& LoadingFixture::compiledKernel() {
+  if (!kernel_) {
+    kernel_.emplace(netlist_, solver_options_);
+  }
+  return *kernel_;
 }
 
 FixtureResult LoadingFixture::solveCompiled(
     const std::vector<double>* warm_seed) {
-  if (!kernel_) {
-    kernel_.emplace(netlist_, solver_options_);
-  }
+  circuit::SolverKernel& kernel = compiledKernel();
   // Re-bind the loading currents mutated through the netlist setters since
   // the last solve (compile happens once; sources re-bind every solve).
   for (std::size_t s = 0; s < netlist_.sourceCount(); ++s) {
-    kernel_->setSource(s, netlist_.sources()[s].amps);
+    kernel.setSource(s, netlist_.sources()[s].amps);
   }
   const bool warm = warm_seed != nullptr && !warm_seed->empty();
   circuit::Solution solution =
-      kernel_->solve(warm ? *warm_seed : seed_, {}, warm ? &seed_ : nullptr);
+      kernel.solve(warm ? *warm_seed : seed_, {}, warm ? &seed_ : nullptr);
   if (!solution.converged) {
     throwNonConvergence(solution);
   }
-  return extractResult(std::move(solution), technology_.temperature_k);
+  return extractResult(std::move(solution));
 }
 
 std::vector<FixtureResult> LoadingFixture::solveBatched(
     std::span<const FixtureBatchPoint> points) {
   require(!points.empty() && points.size() <= kBatchLanes,
           "LoadingFixture::solveBatched: point count must be in [1, lanes]");
-  if (!batch_kernel_) {
-    batch_kernel_.emplace(netlist_, solver_options_);
-  }
-  std::vector<circuit::BatchSolverKernel::LaneRequest> requests(points.size());
+  std::vector<std::vector<double>> amps(points.size());
+  std::vector<circuit::SolverKernel::LaneRequest> requests(points.size());
   for (std::size_t lane = 0; lane < points.size(); ++lane) {
     const FixtureBatchPoint& point = points[lane];
     require(point.pin_loading.size() == pin_sources_.size(),
             "LoadingFixture::solveBatched: pin_loading arity mismatch");
+    amps[lane].resize(netlist_.sourceCount());
     for (std::size_t pin = 0; pin < pin_sources_.size(); ++pin) {
-      batch_kernel_->setSource(lane, pin_sources_[pin],
-                               point.pin_loading[pin]);
+      amps[lane][pin_sources_[pin]] = point.pin_loading[pin];
     }
-    batch_kernel_->setSource(lane, output_source_, point.output_loading);
-    circuit::SolverOptions lane_options = solver_options_;
-    if (point.temperature_k > 0.0) {
-      lane_options.temperature_k = point.temperature_k;
-    }
-    batch_kernel_->setLaneOptions(lane, lane_options);
+    amps[lane][output_source_] = point.output_loading;
     const bool warm = point.warm_seed != nullptr && !point.warm_seed->empty();
+    requests[lane].source_amps = amps[lane];
     requests[lane].initial_guess = warm ? point.warm_seed : &seed_;
     requests[lane].cluster_guess = warm ? &seed_ : nullptr;
   }
-  std::vector<circuit::Solution> solutions = batch_kernel_->solve(requests);
+  std::vector<circuit::Solution> solutions =
+      compiledKernel().solveLanes(requests);
   std::vector<FixtureResult> results;
   results.reserve(points.size());
   for (std::size_t lane = 0; lane < points.size(); ++lane) {
     if (!solutions[lane].converged) {
       throwNonConvergence(solutions[lane], points[lane].label);
     }
-    const double temperature = points[lane].temperature_k > 0.0
-                                   ? points[lane].temperature_k
-                                   : technology_.temperature_k;
-    results.push_back(extractResult(std::move(solutions[lane]), temperature));
+    results.push_back(extractResult(std::move(solutions[lane])));
   }
   return results;
 }
@@ -187,9 +184,9 @@ void LoadingFixture::throwNonConvergence(const circuit::Solution& solution,
   throw ConvergenceError(message + ")");
 }
 
-FixtureResult LoadingFixture::extractResult(circuit::Solution&& solution,
-                                            double temperature_k) const {
-  const device::Environment env{temperature_k};
+FixtureResult LoadingFixture::extractResult(
+    circuit::Solution&& solution) const {
+  const device::Environment env{technology_.temperature_k};
   FixtureResult result;
   result.sweeps = solution.sweeps;
   const auto by_owner = circuit::leakageByOwner(

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/batch_solver_kernel.h"
 #include "circuit/dc_solver.h"
 #include "circuit/netlist.h"
 #include "circuit/solver_kernel.h"
@@ -50,9 +49,8 @@ struct FixtureResult {
 };
 
 /// One lane of a batched fixture solve: an independent operating point
-/// (loading currents, optional warm seed, optional temperature override)
-/// evaluated in lockstep with up to kLaneWidth-1 siblings by
-/// LoadingFixture::solveBatched().
+/// (loading currents, optional warm seed) evaluated in lockstep with up
+/// to kBatchLanes-1 siblings by LoadingFixture::solveBatched().
 struct FixtureBatchPoint {
   /// Loading current [A] injected into each input pin net (one entry per
   /// pin, same order as the gate's pins).
@@ -62,11 +60,8 @@ struct FixtureBatchPoint {
   /// Continuation seed (full node-voltage vector) or nullptr for a cold
   /// start. Same semantics as solveCompiled()'s warm_seed.
   const std::vector<double>* warm_seed = nullptr;
-  /// Operating temperature [K] for this lane; <= 0 means the fixture's
-  /// current temperature. Lanes may differ (thermal batching).
-  double temperature_k = 0.0;
-  /// Human-readable scenario identity ("trial 17", "grid point (2,3)",
-  /// "T=338K ...") included in the ConvergenceError if this lane fails.
+  /// Human-readable scenario identity ("grid point (2,3)") included in
+  /// the ConvergenceError if this lane fails.
   std::string label;
 };
 
@@ -103,15 +98,14 @@ class LoadingFixture {
 
   /// Maximum number of points one solveBatched() call accepts (the SIMD
   /// lane width of the build).
-  static constexpr std::size_t kBatchLanes =
-      circuit::BatchSolverKernel::kLaneWidth;
+  static constexpr std::size_t kBatchLanes = circuit::SolverKernel::kLaneWidth;
 
   /// Solves up to kBatchLanes independent operating points in SIMD
-  /// lockstep on a BatchSolverKernel compiled once per fixture (lazily).
-  /// Each point carries its own loading currents, warm seed and optional
-  /// temperature; results are returned in point order. A lane whose solve
-  /// fails raises ConvergenceError naming that point's label. With the
-  /// scalar backend (kBatchLanes == 1) this is bit-identical to
+  /// lockstep on the kernel solveCompiled() uses
+  /// (SolverKernel::solveLanes). Each point carries its own loading
+  /// currents and warm seed; results are returned in point order. A lane
+  /// whose solve fails raises ConvergenceError naming that point's label.
+  /// With the scalar backend (kBatchLanes == 1) this is bit-identical to
   /// solveCompiled(); with wider backends results agree to <= 1e-6.
   std::vector<FixtureResult> solveBatched(
       std::span<const FixtureBatchPoint> points);
@@ -121,8 +115,8 @@ class LoadingFixture {
   /// the new temperature (SolverKernel::setOptions), topology and seeds
   /// are untouched. A cold solveCompiled() after this call is
   /// bit-identical to a fixture freshly constructed at `temperature_k` -
-  /// the property the thermal sweep engine's per-temperature reuse rests
-  /// on (pinned by tests/thermal/thermal_characterizer_test.cpp).
+  /// the property Characterizer's temperature axis rests on (pinned by
+  /// tests/core/loading_fixture_test.cpp).
   void rebindTemperature(double temperature_k);
 
   /// The gate kind under test.
@@ -147,13 +141,12 @@ class LoadingFixture {
   circuit::SourceId output_source_ = 0;
   std::vector<double> seed_;
   circuit::SolverOptions solver_options_;
-  /// Compiled form, created on first solveCompiled().
+  /// Compiled form, created on first solveCompiled()/solveBatched().
   std::optional<circuit::SolverKernel> kernel_;
-  /// Lane-parallel compiled form, created on first solveBatched().
-  std::optional<circuit::BatchSolverKernel> batch_kernel_;
 
-  FixtureResult extractResult(circuit::Solution&& solution,
-                              double temperature_k) const;
+  /// The compiled kernel, built on first use.
+  circuit::SolverKernel& compiledKernel();
+  FixtureResult extractResult(circuit::Solution&& solution) const;
   [[noreturn]] void throwNonConvergence(const circuit::Solution& solution,
                                         const std::string& label = {}) const;
 };

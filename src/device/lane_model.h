@@ -1,19 +1,21 @@
 /// \file
-/// Lane-parallel device evaluation for the batch solver.
+/// Lane-parallel device evaluation for SolverKernel::solveLanes.
 ///
 /// Mirrors compiled_model.cpp's per-terminal evaluation with every
 /// bias-dependent quantity widened to `util::Lanes<W>`: one call evaluates
 /// the same device at W independent operating points (different node
-/// voltages, and — because coefficients are lane-valued too — different
-/// temperatures or process variations per lane). The control flow that is
-/// data-dependent in the scalar model (drain/source frame sort, the BTBT
-/// small-bias early-out, softLog1pExp's branches) becomes masked blends.
+/// voltages). The lanes share one DeviceCoeffs - every lane of a batch
+/// runs at the same temperature, variations and rails - and each
+/// coefficient is broadcast to all lanes where it is used. The control
+/// flow that is data-dependent in the scalar model (drain/source frame
+/// sort, the BTBT small-bias early-out, softLog1pExp's branches) becomes
+/// masked blends.
 ///
 /// Numeric contract: the operation sequence per lane matches the scalar
 /// compiled model except that lane transcendentals come from
 /// util::laneExp/laneLog1p instead of libm, and the drain/source swap is
 /// folded into a sign blend. Lane results therefore agree with
-/// compiledTerminalCurrent to a few ulp, not bitwise — the batch solver's
+/// compiledTerminalCurrent to a few ulp, not bitwise — the lane solver's
 /// ≤1e-6 equivalence gate (bench_solver_kernel) pins that drift, and the
 /// width-1 scalar backend bypasses this file entirely for bit-identity.
 #pragma once
@@ -23,82 +25,6 @@
 #include "util/simd.h"
 
 namespace nanoleak::device {
-
-/// One device's bias-independent coefficients across W lanes (the lane
-/// transpose of W DeviceCoeffs). `pmos` stays scalar: lanes always hold
-/// the same netlist device under different operating conditions.
-template <std::size_t W>
-struct LaneCoeffs {
-  bool pmos = false;
-
-  util::Lanes<W> channel_pref;
-  util::Lanes<W> n_vt;
-  util::Lanes<W> two_n_vt;
-  util::Lanes<W> zeta_two_n_vt;
-  util::Lanes<W> theta_vsat;
-  util::Lanes<W> lambda;
-
-  util::Lanes<W> vth_prefix;
-  util::Lanes<W> neg_dibl;
-  util::Lanes<W> body_gamma;
-  util::Lanes<W> phi_s;
-  util::Lanes<W> sqrt_phi_s;
-  util::Lanes<W> temp_shift;
-  util::Lanes<W> delta_vth;
-
-  util::Lanes<W> jg0;
-  util::Lanes<W> alpha_v;
-  util::Lanes<W> tox_factor;
-  util::Lanes<W> temp_factor;
-  util::Lanes<W> a_ov;
-  util::Lanes<W> a_half;
-  util::Lanes<W> c_gb;
-  util::Lanes<W> half_n_vt;
-
-  util::Lanes<W> btbt_qn2;
-  util::Lanes<W> vbi;
-  util::Lanes<W> b_eff;
-  util::Lanes<W> sqrt_eg;
-  util::Lanes<W> btbt_pref;
-};
-
-/// Transposes one device's per-lane DeviceCoeffs (array of W) into lane
-/// form. All W coefficients must agree on polarity.
-template <std::size_t W>
-inline LaneCoeffs<W> makeLaneCoeffs(const DeviceCoeffs* per_lane) {
-  LaneCoeffs<W> c;
-  c.pmos = per_lane[0].pmos;
-  for (std::size_t i = 0; i < W; ++i) {
-    const DeviceCoeffs& s = per_lane[i];
-    c.channel_pref.setLane(i, s.channel_pref);
-    c.n_vt.setLane(i, s.n_vt);
-    c.two_n_vt.setLane(i, s.two_n_vt);
-    c.zeta_two_n_vt.setLane(i, s.zeta_two_n_vt);
-    c.theta_vsat.setLane(i, s.theta_vsat);
-    c.lambda.setLane(i, s.lambda);
-    c.vth_prefix.setLane(i, s.vth_prefix);
-    c.neg_dibl.setLane(i, s.neg_dibl);
-    c.body_gamma.setLane(i, s.body_gamma);
-    c.phi_s.setLane(i, s.phi_s);
-    c.sqrt_phi_s.setLane(i, s.sqrt_phi_s);
-    c.temp_shift.setLane(i, s.temp_shift);
-    c.delta_vth.setLane(i, s.delta_vth);
-    c.jg0.setLane(i, s.jg0);
-    c.alpha_v.setLane(i, s.alpha_v);
-    c.tox_factor.setLane(i, s.tox_factor);
-    c.temp_factor.setLane(i, s.temp_factor);
-    c.a_ov.setLane(i, s.a_ov);
-    c.a_half.setLane(i, s.a_half);
-    c.c_gb.setLane(i, s.c_gb);
-    c.half_n_vt.setLane(i, s.half_n_vt);
-    c.btbt_qn2.setLane(i, s.btbt_qn2);
-    c.vbi.setLane(i, s.vbi);
-    c.b_eff.setLane(i, s.b_eff);
-    c.sqrt_eg.setLane(i, s.sqrt_eg);
-    c.btbt_pref.setLane(i, s.btbt_pref);
-  }
-  return c;
-}
 
 /// Lane bias point: absolute node potentials per lane.
 template <std::size_t W>
@@ -125,48 +51,53 @@ namespace lane_detail {
 
 /// compiledVth, lanewise.
 template <std::size_t W>
-inline util::Lanes<W> laneVth(const LaneCoeffs<W>& c, util::Lanes<W> vds,
+inline util::Lanes<W> laneVth(const DeviceCoeffs& c, util::Lanes<W> vds,
                               util::Lanes<W> vsb) {
   using util::Lanes;
   const Lanes<W> zero(0.0);
-  const Lanes<W> dibl_shift = c.neg_dibl * laneMax(zero, vds);
+  const Lanes<W> dibl_shift = Lanes<W>(c.neg_dibl) * laneMax(zero, vds);
   const Lanes<W> body_shift =
-      c.body_gamma * (laneSqrt(c.phi_s + laneMax(zero, vsb)) - c.sqrt_phi_s);
-  return c.vth_prefix + dibl_shift + body_shift + c.temp_shift + c.delta_vth;
+      Lanes<W>(c.body_gamma) *
+      (laneSqrt(Lanes<W>(c.phi_s) + laneMax(zero, vsb)) -
+       Lanes<W>(c.sqrt_phi_s));
+  return Lanes<W>(c.vth_prefix) + dibl_shift + body_shift +
+         Lanes<W>(c.temp_shift) + Lanes<W>(c.delta_vth);
 }
 
 /// compiledTunnelDensity, lanewise (odd in vox via a sign blend).
 template <std::size_t W>
-inline util::Lanes<W> laneTunnelDensity(const LaneCoeffs<W>& c,
+inline util::Lanes<W> laneTunnelDensity(const DeviceCoeffs& c,
                                         util::Lanes<W> vox) {
   using util::Lanes;
   const Lanes<W> mag = laneAbs(vox);
-  const Lanes<W> j = c.jg0 * mag *
-                     util::laneExp(c.alpha_v * (mag - Lanes<W>(1.0))) *
-                     c.tox_factor * c.temp_factor;
+  const Lanes<W> j =
+      Lanes<W>(c.jg0) * mag *
+      util::laneExp(Lanes<W>(c.alpha_v) * (mag - Lanes<W>(1.0))) *
+      Lanes<W>(c.tox_factor) * Lanes<W>(c.temp_factor);
   return util::laneSelect(util::laneGE(vox, Lanes<W>(0.0)), j, -j);
 }
 
 /// compiledChannelCurrent, lanewise.
 template <std::size_t W>
-inline util::Lanes<W> laneChannelCurrent(const LaneCoeffs<W>& c,
+inline util::Lanes<W> laneChannelCurrent(const DeviceCoeffs& c,
                                          util::Lanes<W> vgs,
                                          util::Lanes<W> vds,
                                          util::Lanes<W> vsb) {
   using util::Lanes;
   const Lanes<W> one(1.0);
   const Lanes<W> vth = laneVth(c, vds, vsb);
-  const Lanes<W> x = (vgs - vth) / c.two_n_vt;
+  const Lanes<W> x = (vgs - vth) / Lanes<W>(c.two_n_vt);
   const Lanes<W> inv = laneSoftLog1pExp(x);
-  const Lanes<W> drive = inv * inv / (one + c.theta_vsat * inv);
-  const Lanes<W> v_sat = c.n_vt + c.zeta_two_n_vt * inv;
+  const Lanes<W> drive = inv * inv / (one + Lanes<W>(c.theta_vsat) * inv);
+  const Lanes<W> v_sat = Lanes<W>(c.n_vt) + Lanes<W>(c.zeta_two_n_vt) * inv;
   const Lanes<W> vds_factor = one - util::laneExp(-vds / v_sat);
-  return c.channel_pref * drive * vds_factor * (one + c.lambda * vds);
+  return Lanes<W>(c.channel_pref) * drive * vds_factor *
+         (one + Lanes<W>(c.lambda) * vds);
 }
 
 /// Steep inversion logistic (the igcs/igcd factor), lanewise.
 template <std::size_t W>
-inline util::Lanes<W> laneInversionFactor(const LaneCoeffs<W>& c,
+inline util::Lanes<W> laneInversionFactor(const DeviceCoeffs& c,
                                           util::Lanes<W> vg,
                                           util::Lanes<W> vd,
                                           util::Lanes<W> vs,
@@ -174,21 +105,23 @@ inline util::Lanes<W> laneInversionFactor(const LaneCoeffs<W>& c,
   using util::Lanes;
   const Lanes<W> one(1.0);
   const Lanes<W> vth = laneVth(c, laneAbs(vd - vs), vs - vb);
-  return one / (one + util::laneExp(-((vg - vs) - vth) / c.half_n_vt));
+  return one /
+         (one + util::laneExp(-((vg - vs) - vth) / Lanes<W>(c.half_n_vt)));
 }
 
 /// compiledJunctionBtbt, lanewise; the scalar < 1e-12 early-out becomes a
 /// zero blend.
 template <std::size_t W>
-inline util::Lanes<W> laneJunctionBtbt(const LaneCoeffs<W>& c,
+inline util::Lanes<W> laneJunctionBtbt(const DeviceCoeffs& c,
                                        util::Lanes<W> vrev) {
   using util::Lanes;
   const Lanes<W> scale(0.01);
   const Lanes<W> v = scale * laneSoftLog1pExp(vrev / scale);
-  const Lanes<W> field =
-      laneSqrt(c.btbt_qn2 * (v + c.vbi) / Lanes<W>(kEpsSi));
-  const Lanes<W> current = c.btbt_pref * (field / Lanes<W>(1e8)) * v /
-                           c.sqrt_eg * util::laneExp(-c.b_eff / field);
+  const Lanes<W> field = laneSqrt(Lanes<W>(c.btbt_qn2) *
+                                  (v + Lanes<W>(c.vbi)) / Lanes<W>(kEpsSi));
+  const Lanes<W> current = Lanes<W>(c.btbt_pref) *
+                           (field / Lanes<W>(1e8)) * v / Lanes<W>(c.sqrt_eg) *
+                           util::laneExp(-Lanes<W>(c.b_eff) / field);
   return util::laneSelect(util::laneLT(v, Lanes<W>(1e-12)), Lanes<W>(0.0),
                           current);
 }
@@ -198,7 +131,7 @@ inline util::Lanes<W> laneJunctionBtbt(const LaneCoeffs<W>& c,
 /// always uses that node's tunneling and junction components, while the
 /// channel term flips sign in swapped lanes.
 template <std::size_t W>
-inline util::Lanes<W> laneNmosTerminalCurrent(const LaneCoeffs<W>& c,
+inline util::Lanes<W> laneNmosTerminalCurrent(const DeviceCoeffs& c,
                                               const LaneBias<W>& bias,
                                               CompiledTerminal terminal) {
   using util::LaneMask;
@@ -211,13 +144,14 @@ inline util::Lanes<W> laneNmosTerminalCurrent(const LaneCoeffs<W>& c,
     case CompiledTerminal::kGate: {
       const Lanes<W> j_s = laneTunnelDensity(c, bias.vg - vs);
       const Lanes<W> j_d = laneTunnelDensity(c, bias.vg - vd);
-      const Lanes<W> igso = c.a_ov * j_s;
-      const Lanes<W> igdo = c.a_ov * j_d;
+      const Lanes<W> igso = Lanes<W>(c.a_ov) * j_s;
+      const Lanes<W> igdo = Lanes<W>(c.a_ov) * j_d;
       const Lanes<W> inversion =
           laneInversionFactor(c, bias.vg, vd, vs, bias.vb);
-      const Lanes<W> igcs = inversion * c.a_half * j_s;
-      const Lanes<W> igcd = inversion * c.a_half * j_d;
-      const Lanes<W> igb = c.c_gb * laneTunnelDensity(c, bias.vg - bias.vb);
+      const Lanes<W> igcs = inversion * Lanes<W>(c.a_half) * j_s;
+      const Lanes<W> igcd = inversion * Lanes<W>(c.a_half) * j_d;
+      const Lanes<W> igb =
+          Lanes<W>(c.c_gb) * laneTunnelDensity(c, bias.vg - bias.vb);
       return igso + igdo + igcs + igcd + igb;
     }
     case CompiledTerminal::kDrain:
@@ -239,12 +173,14 @@ inline util::Lanes<W> laneNmosTerminalCurrent(const LaneCoeffs<W>& c,
       const Lanes<W> j_x = laneTunnelDensity(c, bias.vg - vx);
       const Lanes<W> inversion =
           laneInversionFactor(c, bias.vg, vd, vs, bias.vb);
-      return signed_ids + btbt - c.a_ov * j_x - inversion * c.a_half * j_x;
+      return signed_ids + btbt - Lanes<W>(c.a_ov) * j_x -
+             inversion * Lanes<W>(c.a_half) * j_x;
     }
     case CompiledTerminal::kBulk: {
       const Lanes<W> btbt_d = laneJunctionBtbt(c, vd - bias.vb);
       const Lanes<W> btbt_s = laneJunctionBtbt(c, vs - bias.vb);
-      const Lanes<W> igb = c.c_gb * laneTunnelDensity(c, bias.vg - bias.vb);
+      const Lanes<W> igb =
+          Lanes<W>(c.c_gb) * laneTunnelDensity(c, bias.vg - bias.vb);
       return -(btbt_d + btbt_s) - igb;
     }
   }
@@ -257,7 +193,7 @@ inline util::Lanes<W> laneNmosTerminalCurrent(const LaneCoeffs<W>& c,
 /// `terminal` at each lane's bias. PMOS devices evaluate mirrored and
 /// negated, exactly like the scalar model.
 template <std::size_t W>
-inline util::Lanes<W> laneTerminalCurrent(const LaneCoeffs<W>& c,
+inline util::Lanes<W> laneTerminalCurrent(const DeviceCoeffs& c,
                                           const LaneBias<W>& bias,
                                           CompiledTerminal terminal) {
   if (!c.pmos) {

@@ -24,13 +24,6 @@ BatchRunner::BatchRunner(BatchOptions options)
           "BatchRunner: pattern_chunk must be >= 1");
 }
 
-mc::MonteCarloEngine::ParallelExecutor BatchRunner::mcExecutor() {
-  return [this](std::size_t count,
-                const std::function<void(std::size_t, std::size_t)>& body) {
-    pool_.parallelFor(count, options_.mc_chunk, body);
-  };
-}
-
 std::vector<GateVectorResult> BatchRunner::run(const GateVectorSweep& sweep) {
   const std::vector<std::vector<bool>> vectors =
       sweep.vectors.empty() ? allInputVectors(sweep.kind) : sweep.vectors;

@@ -77,10 +77,6 @@ class BatchRunner {
   /// it (see BatchOptions::cache).
   std::shared_ptr<TableCache> sharedCache() const { return cache_; }
 
-  /// Adapter for mc::MonteCarloEngine::runBatched: partitions the sample
-  /// space over this runner's pool in mc_chunk-sized pieces.
-  mc::MonteCarloEngine::ParallelExecutor mcExecutor();
-
   /// Fig. 7 job: one task per input vector (each task owns its
   /// LoadingAnalyzer and sweeps the loading grid sequentially). Results
   /// ordered like sweep.vectors (or vectorIndex order when empty).

@@ -128,9 +128,9 @@ struct CornerResult {
 };
 
 /// Fig. 10/11 workload: a Monte-Carlo population of paired with/without-
-/// loading solves. Uses the same counter-based per-sample RNG streams as
-/// MonteCarloEngine::runBatched (sample i = runSample(seed, i)), so the
-/// population is bit-identical to that entry point at any thread count.
+/// loading solves. Sample i is MonteCarloEngine::runSample(seed, i), whose
+/// counter-based RNG stream makes the population bit-identical at any
+/// thread count.
 struct McSweep {
   /// Nominal technology the trials perturb.
   device::Technology technology;

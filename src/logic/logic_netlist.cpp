@@ -8,8 +8,9 @@
 namespace nanoleak::logic {
 
 NetId LogicNetlist::addNet(const std::string& name) {
-  require(net_index_.find(name) == net_index_.end(),
-          "LogicNetlist::addNet: duplicate net name '" + name + "'");
+  if (net_index_.find(name) != net_index_.end()) {
+    throwError("LogicNetlist::addNet: duplicate net name '" + name + "'");
+  }
   const NetId id = net_names_.size();
   net_names_.push_back(name);
   net_index_.emplace(name, id);
@@ -36,15 +37,18 @@ bool LogicNetlist::hasNet(const std::string& name) const {
 
 NetId LogicNetlist::net(const std::string& name) const {
   const auto it = net_index_.find(name);
-  require(it != net_index_.end(),
-          "LogicNetlist::net: unknown net '" + name + "'");
+  if (it == net_index_.end()) {
+    throwError("LogicNetlist::net: unknown net '" + name + "'");
+  }
   return it->second;
 }
 
 void LogicNetlist::markPrimaryInput(NetId net) {
   require(net < netCount(), "markPrimaryInput: net out of range");
-  require(driver_kind_[net] == DriverKind::kUndriven,
-          "markPrimaryInput: net '" + net_names_[net] + "' already driven");
+  if (driver_kind_[net] != DriverKind::kUndriven) {
+    throwError("markPrimaryInput: net '" + net_names_[net] +
+               "' already driven");
+  }
   driver_kind_[net] = DriverKind::kPrimaryInput;
   if (!is_primary_input_[net]) {
     is_primary_input_[net] = true;
@@ -90,8 +94,9 @@ GateId LogicNetlist::addGate(gates::GateKind kind, std::vector<NetId> inputs,
 
 void LogicNetlist::addDff(NetId d, NetId q, std::string name) {
   require(d < netCount() && q < netCount(), "addDff: net out of range");
-  require(driver_kind_[q] == DriverKind::kUndriven,
-          "addDff: q net '" + net_names_[q] + "' already driven");
+  if (driver_kind_[q] != DriverKind::kUndriven) {
+    throwError("addDff: q net '" + net_names_[q] + "' already driven");
+  }
   driver_kind_[q] = DriverKind::kDffOutput;
   ++dff_load_count_[d];
   if (name.empty()) {
@@ -176,19 +181,23 @@ std::vector<GateId> LogicNetlist::topologicalOrder() const {
 void LogicNetlist::validate() const {
   for (const Gate& g : gates_) {
     for (NetId in : g.inputs) {
-      require(driver_kind_[in] != DriverKind::kUndriven,
-              "validate: gate '" + g.name + "' reads undriven net '" +
-                  net_names_[in] + "'");
+      if (driver_kind_[in] == DriverKind::kUndriven) {
+        throwError("validate: gate '" + g.name + "' reads undriven net '" +
+                   net_names_[in] + "'");
+      }
     }
   }
   for (const Dff& dff : dffs_) {
-    require(driver_kind_[dff.d] != DriverKind::kUndriven,
-            "validate: DFF '" + dff.name + "' reads undriven net '" +
-                net_names_[dff.d] + "'");
+    if (driver_kind_[dff.d] == DriverKind::kUndriven) {
+      throwError("validate: DFF '" + dff.name + "' reads undriven net '" +
+                 net_names_[dff.d] + "'");
+    }
   }
   for (NetId out : primary_outputs_) {
-    require(driver_kind_[out] != DriverKind::kUndriven,
-            "validate: primary output '" + net_names_[out] + "' undriven");
+    if (driver_kind_[out] == DriverKind::kUndriven) {
+      throwError("validate: primary output '" + net_names_[out] +
+                 "' undriven");
+    }
   }
   (void)topologicalOrder();  // throws on cycles
 }

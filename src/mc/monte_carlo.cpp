@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "circuit/batch_solver_kernel.h"
 #include "circuit/dc_solver.h"
 #include "circuit/leakage_meter.h"
 #include "circuit/netlist.h"
@@ -146,20 +145,6 @@ circuit::SolverOptions fixtureOptions(const device::Technology& technology) {
   throw ConvergenceError(message);
 }
 
-/// Batched variant carrying the failing lane's scenario identity: the
-/// absolute trial index of the population.
-[[noreturn]] void throwBatchedNonConvergence(
-    const circuit::Netlist& netlist, const circuit::Solution& solution,
-    std::size_t trial) {
-  std::string message =
-      "MonteCarloEngine: fixture solve failed (trial " + std::to_string(trial);
-  const std::string detail = circuit::nonConvergenceDetail(netlist, solution);
-  if (!detail.empty()) {
-    message += ", " + detail;
-  }
-  throw ConvergenceError(message + ")");
-}
-
 /// Builds the fixture and returns the gate-under-test decomposition
 /// (legacy rebuild-per-trial path).
 device::LeakageBreakdown solveFixture(
@@ -240,45 +225,6 @@ struct MonteCarloEngine::CompiledFixtures {
                 fixtureOptions(technology)) {}
 };
 
-/// Lane-parallel analog of CompiledFixtures: the same with/without pair
-/// compiled into BatchSolverKernels, so one lockstep solve covers a whole
-/// lane group of trials. Pooled and worker-owned like the scalar pairs.
-struct MonteCarloEngine::BatchedFixtures {
-  struct One {
-    circuit::Netlist netlist;
-    circuit::BatchSolverKernel kernel;
-    std::vector<NodeId> vdd_fixed;
-    std::vector<double> cold_seed;
-    std::vector<double> nominal;
-
-    One(BuiltFixture built, const circuit::SolverOptions& options)
-        : netlist(std::move(built.netlist)),
-          kernel(netlist, options),
-          vdd_fixed(std::move(built.vdd_fixed)),
-          cold_seed(std::move(built.seed)) {
-      circuit::BatchSolverKernel::LaneRequest request;
-      request.initial_guess = &cold_seed;
-      std::vector<circuit::Solution> solutions =
-          kernel.solve(std::span<const circuit::BatchSolverKernel::LaneRequest>(
-              &request, 1));
-      if (!solutions[0].converged) {
-        throwFixtureNonConvergence(netlist, solutions[0]);
-      }
-      nominal = std::move(solutions[0].voltages);
-    }
-  };
-
-  One with;
-  One without;
-
-  BatchedFixtures(const device::Technology& technology,
-                  const McFixtureConfig& config)
-      : with(buildFixture(technology, config, /*with_loading=*/true, {}),
-             fixtureOptions(technology)),
-        without(buildFixture(technology, config, /*with_loading=*/false, {}),
-                fixtureOptions(technology)) {}
-};
-
 MonteCarloEngine::MonteCarloEngine(device::Technology technology,
                                    VariationSigmas sigmas,
                                    McFixtureConfig config)
@@ -334,25 +280,6 @@ void MonteCarloEngine::releaseFixtures(
     std::unique_ptr<CompiledFixtures> fixtures) const {
   std::lock_guard<std::mutex> lock(pool_mutex_);
   pool_.push_back(std::move(fixtures));
-}
-
-std::unique_ptr<MonteCarloEngine::BatchedFixtures>
-MonteCarloEngine::acquireBatchedFixtures() const {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    if (!batch_pool_.empty()) {
-      auto fixtures = std::move(batch_pool_.back());
-      batch_pool_.pop_back();
-      return fixtures;
-    }
-  }
-  return std::make_unique<BatchedFixtures>(technology_, config_);
-}
-
-void MonteCarloEngine::releaseBatchedFixtures(
-    std::unique_ptr<BatchedFixtures> fixtures) const {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  batch_pool_.push_back(std::move(fixtures));
 }
 
 McSample MonteCarloEngine::runOneLegacy(VariationSampler& sampler) const {
@@ -417,110 +344,6 @@ McSample MonteCarloEngine::runSample(std::uint64_t seed,
                                      std::size_t index) const {
   VariationSampler sampler(sigmas_, deriveStreamSeed(seed, index));
   return runOne(sampler);
-}
-
-void MonteCarloEngine::runGroupBatched(BatchedFixtures& fixtures,
-                                       std::uint64_t seed, std::size_t begin,
-                                       std::size_t end, McSample* out) const {
-  const std::size_t lanes = end - begin;
-  // Draw every lane's trial (die, device variations, VDD) exactly as the
-  // scalar path does: one counter-seeded stream per absolute index, so
-  // the batched population is statistically identical to runSample's.
-  std::vector<std::vector<device::DeviceVariation>> vars(lanes);
-  std::vector<double> vdd(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    VariationSampler sampler(sigmas_, deriveStreamSeed(seed, begin + lane));
-    const DieSample die = sampler.sampleDie();
-    vars[lane] = drawDeviceVariations(sampler, die);
-    vdd[lane] = std::clamp(technology_.vdd + die.delta_vdd, 0.3,
-                           2.0 * technology_.vdd);
-  }
-
-  const auto solveSide = [&](BatchedFixtures::One& one, bool with_loading,
-                             auto member) {
-    std::vector<std::vector<double>> seeds(lanes);
-    std::vector<circuit::BatchSolverKernel::LaneRequest> requests(lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      std::span<const device::DeviceVariation> lane_vars(vars[lane]);
-      if (!with_loading) {
-        lane_vars = lane_vars.first(one.kernel.deviceCount());
-      }
-      one.kernel.rebindVariations(lane, lane_vars);
-      for (const NodeId node : one.vdd_fixed) {
-        one.kernel.setFixedVoltage(lane, node, vdd[lane]);
-      }
-      circuit::SolverOptions options = one.kernel.laneOptions(lane);
-      options.bracket_hi = vdd[lane] + 0.3;
-      one.kernel.setLaneOptions(lane, options);
-
-      seeds[lane] = one.nominal;
-      const double scale = vdd[lane] / technology_.vdd;
-      for (double& v : seeds[lane]) {
-        v *= scale;
-      }
-      requests[lane].initial_guess = &seeds[lane];
-      requests[lane].cluster_guess = &one.cold_seed;
-    }
-    const std::vector<circuit::Solution> solutions =
-        one.kernel.solve(requests);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!solutions[lane].converged) {
-        throwBatchedNonConvergence(one.netlist, solutions[lane],
-                                   begin + lane);
-      }
-      out[lane].*member =
-          one.kernel.laneLeakageByOwner(lane, solutions[lane].voltages, 1)[0];
-    }
-  };
-  solveSide(fixtures.with, /*with_loading=*/true, &McSample::with_loading);
-  solveSide(fixtures.without, /*with_loading=*/false,
-            &McSample::without_loading);
-}
-
-std::vector<McSample> MonteCarloEngine::runBatched(
-    std::size_t samples, std::uint64_t seed,
-    const ParallelExecutor& executor) const {
-  std::vector<McSample> results(samples);
-  if (samples == 0) {
-    return results;
-  }
-  if (!use_batched_ || !use_compiled_) {
-    const auto body = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        results[i] = runSample(seed, i);
-      }
-    };
-    if (executor) {
-      executor(samples, body);
-    } else {
-      body(0, samples);
-    }
-    return results;
-  }
-
-  // Lane groups are keyed to ABSOLUTE trial index: group g covers trials
-  // [g*W, min((g+1)*W, samples)), and the executor partitions GROUPS, so
-  // no partitioning can split a group - the bit-identical-for-any-
-  // executor guarantee survives batching.
-  constexpr std::size_t kLanes = circuit::BatchSolverKernel::kLaneWidth;
-  const std::size_t groups = (samples + kLanes - 1) / kLanes;
-  const auto body = [&](std::size_t group_begin, std::size_t group_end) {
-    auto fixtures = acquireBatchedFixtures();
-    // On a throwing group the (possibly half-rebound) pair is discarded
-    // rather than returned to the pool.
-    for (std::size_t g = group_begin; g < group_end; ++g) {
-      const std::size_t begin = g * kLanes;
-      const std::size_t end = std::min(begin + kLanes, samples);
-      runGroupBatched(*fixtures, seed, begin, end, results.data() + begin);
-    }
-    releaseBatchedFixtures(std::move(fixtures));
-  };
-  if (executor) {
-    executor(groups, body);
-  } else {
-    body(0, groups);
-  }
-  return results;
 }
 
 McSummary MonteCarloEngine::summarizeTotals(

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -66,35 +65,16 @@ class MonteCarloEngine {
 
   /// Draws and solves `samples` trials. Deterministic for a given seed.
   /// Samples are drawn from ONE sequential RNG stream, so trial i depends
-  /// on trials 0..i-1 having been drawn first; use runBatched() when the
-  /// population must be partitionable across threads.
+  /// on trials 0..i-1 having been drawn first; use runSample() (as
+  /// engine::BatchRunner::run(McSweep) does) when the population must be
+  /// partitionable across threads.
   std::vector<McSample> run(std::size_t samples, std::uint64_t seed) const;
 
-  /// Contract for an external parallel executor (the sweep engine's
-  /// BatchRunner provides one): partition [0, count) and invoke
-  /// body(begin, end) on every piece, returning once all pieces ran.
-  using ParallelExecutor = std::function<void(
-      std::size_t count,
-      const std::function<void(std::size_t begin, std::size_t end)>& body)>;
-
-  /// Trial `index` of the batched population keyed by `seed`. Independent
-  /// of every other trial: its RNG stream comes from counter-based seeding
-  /// (deriveStreamSeed), so workers may evaluate trials in any order.
+  /// Trial `index` of the population keyed by `seed`. Independent of
+  /// every other trial: its RNG stream comes from counter-based seeding
+  /// (deriveStreamSeed), so workers may evaluate trials in any order and
+  /// any partitioning yields the same population bit for bit.
   McSample runSample(std::uint64_t seed, std::size_t index) const;
-
-  /// Batched run: a pure function of (samples, seed) - bit-identical for
-  /// any executor partitioning and thread count. A null executor runs
-  /// sequentially on the calling thread.
-  ///
-  /// With useBatchedSolves() (the default, on compiled fixtures), trials
-  /// are grouped by ABSOLUTE index into SIMD lane batches of
-  /// circuit::BatchSolverKernel::kLaneWidth and each group's with/without
-  /// solves run in lockstep; the executor partitions groups, never
-  /// splitting one, so the any-partitioning guarantee holds unchanged.
-  /// Results agree with the scalar per-trial path (runSample) within
-  /// <= 1e-6 relative - bit-identical on scalar (lane width 1) builds.
-  std::vector<McSample> runBatched(std::size_t samples, std::uint64_t seed,
-                                   const ParallelExecutor& executor = {}) const;
 
   /// Summary statistics of total leakage over a run.
   static McSummary summarizeTotals(const std::vector<McSample>& samples);
@@ -104,15 +84,8 @@ class MonteCarloEngine {
   void setUseCompiledFixtures(bool use) { use_compiled_ = use; }
   bool useCompiledFixtures() const { return use_compiled_; }
 
-  /// Selects lane-parallel lockstep solves for runBatched() (see its
-  /// comment). Only effective on compiled fixtures; run()/runSample()
-  /// always solve scalar. Not thread-safe against concurrent runs.
-  void setUseBatchedSolves(bool use) { use_batched_ = use; }
-  bool useBatchedSolves() const { return use_batched_; }
-
  private:
   struct CompiledFixtures;
-  struct BatchedFixtures;
 
   McSample runOne(VariationSampler& sampler) const;
   McSample runOneLegacy(VariationSampler& sampler) const;
@@ -130,25 +103,12 @@ class MonteCarloEngine {
   std::unique_ptr<CompiledFixtures> acquireFixtures() const;
   void releaseFixtures(std::unique_ptr<CompiledFixtures> fixtures) const;
 
-  /// Same pooling for the lane-parallel fixture pairs runBatched() uses.
-  std::unique_ptr<BatchedFixtures> acquireBatchedFixtures() const;
-  void releaseBatchedFixtures(std::unique_ptr<BatchedFixtures> fixtures) const;
-
-  /// Solves trials [begin, end) (one lane group) of the batched
-  /// population keyed by `seed` in lockstep, writing McSamples to
-  /// out[0 .. end-begin).
-  void runGroupBatched(BatchedFixtures& fixtures, std::uint64_t seed,
-                       std::size_t begin, std::size_t end,
-                       McSample* out) const;
-
   device::Technology technology_;
   VariationSigmas sigmas_;
   McFixtureConfig config_;
   bool use_compiled_ = true;
-  bool use_batched_ = true;
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<CompiledFixtures>> pool_;
-  mutable std::vector<std::unique_ptr<BatchedFixtures>> batch_pool_;
 };
 
 }  // namespace nanoleak::mc

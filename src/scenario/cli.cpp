@@ -558,8 +558,11 @@ int runThermal(const ParsedArgs& args, std::ostream& out) {
   thermal::ThermalSweepOptions options;
   options.grid = {args.t_min_k, args.t_max_k, args.t_points};
   options.with_loading = !args.no_loading;
-  options.mode = args.cold ? thermal::ThermalCharacterizer::Mode::kCold
-                           : thermal::ThermalCharacterizer::Mode::kWarmStart;
+  if (args.cold) {
+    // Cold seeds everywhere: the bitwise reference of the warm default.
+    options.characterization.solver_path =
+        core::CharacterizationOptions::SolverPath::kCompiled;
+  }
   const thermal::ThermalSweepEngine engine(
       technologyForFlavour(args.flavour), options);
 

@@ -16,8 +16,9 @@ namespace {
 using util::JsonValue;
 
 const JsonValue& requireObject(const JsonValue& doc, const char* what) {
-  require(doc.type == JsonValue::Type::kObject,
-          std::string(what) + ": document is not a JSON object");
+  if (doc.type != JsonValue::Type::kObject) {
+    throwError(std::string(what) + ": document is not a JSON object");
+  }
   return doc;
 }
 
@@ -27,17 +28,20 @@ std::string getString(const JsonValue& obj, const std::string& key,
   if (value == nullptr) {
     return fallback;
   }
-  require(value->type == JsonValue::Type::kString,
-          "serve request: '" + key + "' must be a string");
+  if (value->type != JsonValue::Type::kString) {
+    throwError("serve request: '" + key + "' must be a string");
+  }
   return value->string;
 }
 
 std::string requireString(const JsonValue& obj, const std::string& key,
                           const char* what) {
   const JsonValue* value = obj.find(key);
-  require(value != nullptr && value->type == JsonValue::Type::kString &&
-              !value->string.empty(),
-          std::string(what) + ": requires a non-empty string '" + key + "'");
+  if (!(value != nullptr && value->type == JsonValue::Type::kString &&
+        !value->string.empty())) {
+    throwError(std::string(what) + ": requires a non-empty string '" + key +
+               "'");
+  }
   return value->string;
 }
 
@@ -47,8 +51,9 @@ double getNumber(const JsonValue& obj, const std::string& key,
   if (value == nullptr) {
     return fallback;
   }
-  require(value->type == JsonValue::Type::kNumber,
-          "serve request: '" + key + "' must be a number");
+  if (value->type != JsonValue::Type::kNumber) {
+    throwError("serve request: '" + key + "' must be a number");
+  }
   return value->number;
 }
 
@@ -57,8 +62,9 @@ bool getBool(const JsonValue& obj, const std::string& key, bool fallback) {
   if (value == nullptr) {
     return fallback;
   }
-  require(value->type == JsonValue::Type::kBool,
-          "serve request: '" + key + "' must be a boolean");
+  if (value->type != JsonValue::Type::kBool) {
+    throwError("serve request: '" + key + "' must be a boolean");
+  }
   return value->boolean;
 }
 
@@ -68,8 +74,9 @@ std::uint64_t getCount(const JsonValue& obj, const std::string& key,
                        std::uint64_t fallback) {
   const double value =
       getNumber(obj, key, static_cast<double>(fallback));
-  require(value >= 0.0 && value == std::floor(value) && value <= 1e15,
-          "serve request: '" + key + "' must be a non-negative integer");
+  if (!(value >= 0.0 && value == std::floor(value) && value <= 1e15)) {
+    throwError("serve request: '" + key + "' must be a non-negative integer");
+  }
   return static_cast<std::uint64_t>(value);
 }
 
@@ -83,17 +90,21 @@ void requireOnlyKeys(const JsonValue& obj,
     for (const std::string& candidate : allowed) {
       ok = ok || candidate == key;
     }
-    require(ok, "serve request: unknown field '" + key + "'");
+    if (!ok) {
+      throwError("serve request: unknown field '" + key + "'");
+    }
   }
 }
 
 void requireFormat(const JsonValue& obj, const char* what) {
   const JsonValue* format = obj.find("format");
-  require(format != nullptr && format->type == JsonValue::Type::kString,
-          std::string(what) + ": missing 'format' tag");
-  require(format->string == kServeFormat,
-          std::string(what) + ": format is '" + format->string + "', want '" +
-              kServeFormat + "'");
+  if (!(format != nullptr && format->type == JsonValue::Type::kString)) {
+    throwError(std::string(what) + ": missing 'format' tag");
+  }
+  if (format->string != kServeFormat) {
+    throwError(std::string(what) + ": format is '" + format->string +
+               "', want '" + kServeFormat + "'");
+  }
 }
 
 std::string loadingSuffix(bool with_loading) {

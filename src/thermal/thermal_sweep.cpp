@@ -12,6 +12,57 @@
 
 namespace nanoleak::thermal {
 
+std::vector<double> ThermalGrid::temperatures() const {
+  require(points >= 1, "ThermalGrid: points must be >= 1");
+  require(points == 1 ? t_max_k >= t_min_k : t_max_k > t_min_k,
+          "ThermalGrid: t_max_k must exceed t_min_k");
+  std::vector<double> out;
+  out.reserve(points);
+  if (points == 1) {
+    out.push_back(t_min_k);
+    return out;
+  }
+  const double span = t_max_k - t_min_k;
+  for (std::size_t i = 0; i + 1 < points; ++i) {
+    out.push_back(t_min_k + span * static_cast<double>(i) /
+                                static_cast<double>(points - 1));
+  }
+  out.push_back(t_max_k);  // exact, never (t_min + span * (n-1)/(n-1))
+  return out;
+}
+
+device::Technology technologyAtTemperature(const device::Technology& base,
+                                           double temperature_k) {
+  device::Technology tech = base;
+  tech.temperature_k = temperature_k;
+  return tech;
+}
+
+core::LeakageLibrary::Meta libraryMetaAt(const device::Technology& base,
+                                         double temperature_k) {
+  core::LeakageLibrary::Meta meta;
+  meta.technology_name = base.nmos.name + "/" + base.pmos.name;
+  meta.vdd = base.vdd;
+  meta.temperature_k = temperature_k;
+  return meta;
+}
+
+namespace {
+
+/// One empty library per temperature of `temperatures`, in order.
+ThermalLibrarySet emptyLibrarySet(const device::Technology& base,
+                                  std::vector<double> temperatures) {
+  ThermalLibrarySet set;
+  set.temperatures = std::move(temperatures);
+  set.libraries.reserve(set.temperatures.size());
+  for (double temperature_k : set.temperatures) {
+    set.libraries.emplace_back(libraryMetaAt(base, temperature_k));
+  }
+  return set;
+}
+
+}  // namespace
+
 std::vector<double> ThermalCurve::temperatures() const {
   std::vector<double> out;
   out.reserve(points.size());
@@ -23,14 +74,13 @@ std::vector<double> ThermalCurve::temperatures() const {
 
 ThermalSweepEngine::ThermalSweepEngine(device::Technology base,
                                        ThermalSweepOptions options)
-    : base_(std::move(base)), options_(std::move(options)) {
-  // Validate eagerly so a malformed temperature or loading grid fails at
-  // construction, not at the first run() deep inside a suite. The
-  // throwaway characterizer runs exactly the loading-grid checks the
-  // real one will.
+    : base_(std::move(base)),
+      options_(std::move(options)),
+      characterizer_(base_, options_.characterization) {
+  // Validate eagerly so a malformed temperature grid fails at
+  // construction, not at the first run() deep inside a suite (the
+  // characterizer's constructor has already checked the loading grid).
   (void)options_.grid.temperatures();
-  (void)ThermalCharacterizer(base_, options_.characterization,
-                             options_.mode);
 }
 
 device::Technology ThermalSweepEngine::technologyAt(
@@ -40,9 +90,16 @@ device::Technology ThermalSweepEngine::technologyAt(
 
 ThermalLibrarySet ThermalSweepEngine::characterize(
     const std::vector<gates::GateKind>& kinds) const {
-  const ThermalCharacterizer characterizer(base_, options_.characterization,
-                                           options_.mode);
-  return characterizer.characterize(kinds, options_.grid);
+  ThermalLibrarySet set =
+      emptyLibrarySet(base_, options_.grid.temperatures());
+  for (gates::GateKind kind : kinds) {
+    std::vector<std::vector<core::VectorTable>> per_t =
+        characterizer_.characterizeKind(kind, set.temperatures);
+    for (std::size_t t = 0; t < per_t.size(); ++t) {
+      set.libraries[t].insert(kind, std::move(per_t[t]));
+    }
+  }
+  return set;
 }
 
 ThermalCurve ThermalSweepEngine::run(
@@ -60,25 +117,22 @@ ThermalCurve ThermalSweepEngine::run(
   const std::vector<double> temps = options_.grid.temperatures();
 
   // Thermal entries live under a provenance-tagged key: they are the
-  // product of this engine's continuation policy, which no Characterizer
-  // path reproduces bit-for-bit, so they must never answer an untagged
-  // kindTables()/library() lookup. Under the tag, a repeated sweep at the
-  // same (flavour, grid, options) corner set reuses the cached tables and
-  // skips characterization entirely. Warm-start tables additionally
-  // depend on the WHOLE grid (each temperature continuation-seeds from
-  // its predecessor), so the grid is folded into the tag - two sweeps
-  // sharing one temperature but differing elsewhere must never alias.
-  // Cold tables are seed-independent; a per-temperature tag suffices.
-  std::string provenance = "thermal-cold";
-  if (options_.mode != ThermalCharacterizer::Mode::kCold) {
-    // Warm-start tables depend on the whole continuation chain; batched
-    // tables on how the grid partitions into lane groups. Both fold the
-    // full grid into the tag so distinct sweeps never alias.
+  // product of the temperature axis, whose warm path no single-temperature
+  // Characterizer reproduces bit-for-bit, so they must never answer an
+  // untagged kindTables()/library() lookup. Under the tag, a repeated
+  // sweep at the same (flavour, grid, options) corner set reuses the
+  // cached tables and skips characterization entirely. Warm-path tables
+  // additionally depend on the WHOLE grid (each temperature
+  // continuation-seeds from its predecessor), so the grid is folded into
+  // the tag - two sweeps sharing one temperature but differing elsewhere
+  // must never alias. Every other path's tables depend on their own
+  // temperature only (the key carries the path); a per-temperature tag
+  // suffices.
+  std::string provenance = "thermal";
+  if (options_.characterization.solver_path ==
+      core::CharacterizationOptions::SolverPath::kCompiledWarmStart) {
     std::ostringstream tag;
-    tag << (options_.mode == ThermalCharacterizer::Mode::kWarmStart
-                ? "thermal-warm|grid:"
-                : "thermal-batched|grid:")
-        << std::hexfloat;
+    tag << "thermal-warm|grid:" << std::hexfloat;
     for (double temperature_k : temps) {
       tag << temperature_k << ',';
     }
@@ -90,14 +144,7 @@ ThermalCurve ThermalSweepEngine::run(
   // bigger circuit adding one gate kind) re-characterizes only the
   // missing kinds - warm-start continuation chains are independent per
   // (kind, vector) fixture, so per-kind reuse is exact.
-  ThermalLibrarySet set;
-  set.temperatures = temps;
-  set.libraries.reserve(temps.size());
-  for (double temperature_k : temps) {
-    set.libraries.emplace_back(libraryMetaAt(base_, temperature_k));
-  }
-  const ThermalCharacterizer characterizer(base_, options_.characterization,
-                                           options_.mode);
+  ThermalLibrarySet set = emptyLibrarySet(base_, temps);
   for (gates::GateKind kind : kinds) {
     std::vector<std::shared_ptr<const engine::TableCache::KindTables>>
         cached(temps.size());
@@ -121,7 +168,7 @@ ThermalCurve ThermalSweepEngine::run(
       continue;
     }
     std::vector<std::vector<core::VectorTable>> per_t =
-        characterizer.characterizeKind(kind, temps);
+        characterizer_.characterizeKind(kind, temps);
     for (std::size_t t = 0; t < temps.size(); ++t) {
       if (options_.seed_cache) {
         if (runner.cache().insert(technologyAt(temps[t]), kind,

@@ -4,9 +4,9 @@
 ///
 /// For one (circuit, technology flavour, input-vector set) the engine
 ///  1. characterizes the circuit's gate kinds over the temperature grid
-///     through ThermalCharacterizer (fixtures compiled once, coefficients
-///     re-bound per temperature, solves continuation-seeded from the
-///     adjacent temperature),
+///     on core::Characterizer's temperature axis (fixtures compiled once,
+///     coefficients re-bound per temperature; on the default warm path,
+///     solves continuation-seeded from the adjacent temperature),
 ///  2. seeds the BatchRunner's TableCache with the per-temperature
 ///     libraries under provenance-tagged per-temperature keys (the key
 ///     fingerprints temperature, so each grid point is its own corner;
@@ -22,36 +22,84 @@
 ///
 /// Determinism: a ThermalCurve is a pure function of (netlist, patterns,
 /// options); characterization is sequential per fixture, estimation rides
-/// the bit-identical runPatternTotals contract, and all reductions and fits sum
-/// in fixed order - thread count never changes a bit (pinned by
+/// the bit-identical runPatternTotals contract, and all reductions and
+/// fits sum in fixed order - thread count never changes a bit (pinned by
 /// tests/thermal/thermal_sweep_test.cpp).
+///
+/// Equivalence (pinned by the thermal tests and gated by bench_thermal):
+/// with characterization.solver_path = kCompiled (`nanoleak thermal
+/// --cold`) every temperature's tables are bit-identical to a fresh
+/// per-temperature Characterizer; the default kCompiledWarmStart agrees
+/// with them within solver tolerance (~1e-8 relative).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "core/characterizer.h"
+#include "core/leakage_table.h"
 #include "device/device_params.h"
 #include "device/leakage_breakdown.h"
 #include "engine/batch_runner.h"
 #include "logic/logic_netlist.h"
-#include "thermal/thermal_characterizer.h"
 #include "thermal/thermal_fit.h"
 
 namespace nanoleak::thermal {
+
+/// Uniform inclusive temperature grid [t_min_k, t_max_k].
+struct ThermalGrid {
+  /// Lowest grid temperature [K].
+  double t_min_k = 233.0;
+  /// Highest grid temperature [K].
+  double t_max_k = 398.0;
+  /// Number of grid points (>= 1; 1 collapses the grid to t_min_k).
+  std::size_t points = 8;
+
+  /// The grid temperatures, ascending. Endpoints are exact; interior
+  /// points are evenly spaced. Throws nanoleak::Error when points == 0,
+  /// when t_max_k < t_min_k, or when points >= 2 and t_max_k == t_min_k
+  /// (a multi-point grid needs a non-empty range; only the single-point
+  /// grid may collapse both endpoints onto one temperature).
+  std::vector<double> temperatures() const;
+};
+
+/// `base` with one grid temperature applied - the corner the sweep
+/// engine keys its cache entries by. It equals the technology
+/// core::Characterizer characterizes at for that temperature (the base
+/// with temperature_k replaced).
+device::Technology technologyAtTemperature(const device::Technology& base,
+                                           double temperature_k);
+
+/// Library meta fingerprint for one grid temperature of `base`, shared by
+/// the engine's characterization and cached-reuse paths so both produce
+/// identical Meta.
+core::LeakageLibrary::Meta libraryMetaAt(const device::Technology& base,
+                                         double temperature_k);
+
+/// Per-temperature libraries for one technology base, in grid order.
+struct ThermalLibrarySet {
+  /// Grid temperatures [K], ascending.
+  std::vector<double> temperatures;
+  /// libraries[i] is the full library characterized at temperatures[i].
+  std::vector<core::LeakageLibrary> libraries;
+};
 
 /// Configuration of one thermal sweep.
 struct ThermalSweepOptions {
   /// Temperature grid to sweep.
   ThermalGrid grid;
-  /// Solve seeding (kWarmStart for production; kCold is the bitwise
-  /// equivalence reference the bench gates against).
-  ThermalCharacterizer::Mode mode = ThermalCharacterizer::Mode::kWarmStart;
   /// false = the paper's traditional no-loading accumulation.
   bool with_loading = true;
-  /// Loading grid / pin-current-surface options forwarded to
-  /// characterization (kinds and solver_path are ignored; the thermal
-  /// path chooses its own).
-  core::CharacterizationOptions characterization;
+  /// Loading grid, pin-current surfaces and solver path of the
+  /// characterization (kinds are ignored: the circuit decides). The warm
+  /// path is the default; kCompiled is the bitwise equivalence reference
+  /// the bench gates against.
+  core::CharacterizationOptions characterization = [] {
+    core::CharacterizationOptions options;
+    options.solver_path =
+        core::CharacterizationOptions::SolverPath::kCompiledWarmStart;
+    return options;
+  }();
   /// Seed the runner's TableCache with the per-temperature libraries
   /// (under a thermal provenance tag) so repeated sweeps at the same
   /// corners reuse them instead of re-characterizing.
@@ -96,7 +144,8 @@ class ThermalSweepEngine {
  public:
   /// `base` supplies devices, VDD and widths; its temperature_k is
   /// ignored (the grid governs). Throws nanoleak::Error on a malformed
-  /// grid or loading grid.
+  /// grid or loading grid (the latter through core::Characterizer's
+  /// constructor).
   explicit ThermalSweepEngine(device::Technology base,
                               ThermalSweepOptions options = {});
 
@@ -122,6 +171,7 @@ class ThermalSweepEngine {
  private:
   device::Technology base_;
   ThermalSweepOptions options_;
+  core::Characterizer characterizer_;
 };
 
 }  // namespace nanoleak::thermal

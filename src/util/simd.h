@@ -1,5 +1,6 @@
 /// \file
-/// Width-agnostic SIMD lane abstraction for the batch solver.
+/// Width-agnostic SIMD lane abstraction for the lane solver
+/// (circuit::SolverKernel::solveLanes).
 ///
 /// `Lanes<W>` is a value type holding W doubles that are operated on in
 /// lockstep; `LaneMask<W>` is its per-lane boolean companion with bitwise
@@ -18,7 +19,7 @@
 /// Numeric contract: `laneExp` / `laneLog` / `laneLog1p` are FMA-free
 /// Cephes-style polynomial evaluations with the *same* operation sequence
 /// in the generic and AVX2 backends, accurate to a few ulp — far inside
-/// the batch solver's ≤1e-6 equivalence gate. `laneSelect` is a bitwise
+/// the lane solver's ≤1e-6 equivalence gate. `laneSelect` is a bitwise
 /// blend: values in discarded lanes (including inf/NaN from masked-off
 /// divisions) never contaminate the result.
 #pragma once
@@ -497,7 +498,7 @@ inline void laneFrexp(Lanes<W> x, Lanes<W>& mantissa, Lanes<W>& exponent) {
 /// Lanewise e^x, Cephes-style: range-reduce by powers of two, evaluate a
 /// Pade rational in the reduced argument, rescale. Inputs are clamped to
 /// [-700, 700] (callers in the device model clamp far tighter); accuracy
-/// is a few ulp, well inside the batch solver's equivalence gate.
+/// is a few ulp, well inside the lane solver's equivalence gate.
 template <std::size_t W>
 inline Lanes<W> laneExp(Lanes<W> x) {
   x = laneMax(laneMin(x, Lanes<W>(700.0)), Lanes<W>(-700.0));

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/loading_fixture.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/units.h"
 
@@ -198,6 +202,179 @@ TEST(CharacterizerTest, BatchedPathMatchesWarmStartWithinTolerance) {
     EXPECT_EQ(batched[v].isolated_nominal.total(),
               warm[v].isolated_nominal.total());
   }
+}
+
+// --- temperature axis -------------------------------------------------
+
+using SolverPath = CharacterizationOptions::SolverPath;
+
+const std::vector<double>& axisTemperatures() {
+  static const std::vector<double> temps = {253.0, 300.0, 363.0};
+  return temps;
+}
+
+CharacterizationOptions pathGrid(SolverPath path) {
+  CharacterizationOptions options = smallGrid({});
+  options.solver_path = path;
+  return options;
+}
+
+device::Technology atTemperature(device::Technology tech,
+                                 double temperature_k) {
+  tech.temperature_k = temperature_k;
+  return tech;
+}
+
+void expectBitIdentical(const VectorTable& a, const VectorTable& b) {
+  EXPECT_EQ(a.subthreshold.values(), b.subthreshold.values());
+  EXPECT_EQ(a.gate.values(), b.gate.values());
+  EXPECT_EQ(a.btbt.values(), b.btbt.values());
+  EXPECT_EQ(a.pin_current, b.pin_current);
+  EXPECT_EQ(a.nominal.subthreshold, b.nominal.subthreshold);
+  EXPECT_EQ(a.nominal.gate, b.nominal.gate);
+  EXPECT_EQ(a.nominal.btbt, b.nominal.btbt);
+  EXPECT_EQ(a.isolated_nominal.subthreshold, b.isolated_nominal.subthreshold);
+  EXPECT_EQ(a.isolated_nominal.gate, b.isolated_nominal.gate);
+  EXPECT_EQ(a.isolated_nominal.btbt, b.isolated_nominal.btbt);
+  ASSERT_EQ(a.pin_current_grid.size(), b.pin_current_grid.size());
+  for (std::size_t pin = 0; pin < a.pin_current_grid.size(); ++pin) {
+    EXPECT_EQ(a.pin_current_grid[pin].values(),
+              b.pin_current_grid[pin].values());
+  }
+}
+
+double maxTableRelDiff(const VectorTable& a, const VectorTable& b) {
+  return std::max({maxRelDiff(a.subthreshold, b.subthreshold),
+                   maxRelDiff(a.gate, b.gate), maxRelDiff(a.btbt, b.btbt)});
+}
+
+// A one-temperature list is the plain scan: bit-identical on every path.
+TEST(CharacterizerTemperatureTest, SingleTemperatureEqualsPlainScan) {
+  const device::Technology tech =
+      atTemperature(device::defaultTechnology(), 338.0);
+  for (SolverPath path : {SolverPath::kLegacy, SolverPath::kCompiled,
+                          SolverPath::kCompiledWarmStart,
+                          SolverPath::kBatched}) {
+    const Characterizer chr(tech, pathGrid(path));
+    const auto plain = chr.characterizeKind(gates::GateKind::kNand2);
+    const auto axis =
+        chr.characterizeKind(gates::GateKind::kNand2, {tech.temperature_k});
+    ASSERT_EQ(axis.size(), 1u);
+    ASSERT_EQ(axis[0].size(), plain.size());
+    for (std::size_t v = 0; v < plain.size(); ++v) {
+      expectBitIdentical(axis[0][v], plain[v]);
+    }
+  }
+}
+
+// Re-binding temperature alone never changes a bit: on every path without
+// cross-temperature seeds, each temperature of the axis equals a
+// Characterizer built at that temperature. The technology's own
+// temperature plays no part.
+TEST(CharacterizerTemperatureTest, ReboundAxisBitIdenticalToFreshBuild) {
+  const device::Technology base = device::defaultTechnology();
+  for (SolverPath path :
+       {SolverPath::kLegacy, SolverPath::kCompiled, SolverPath::kBatched}) {
+    const Characterizer axis(atTemperature(base, 411.0), pathGrid(path));
+    for (gates::GateKind kind :
+         {gates::GateKind::kInv, gates::GateKind::kNor2}) {
+      const auto per_t = axis.characterizeKind(kind, axisTemperatures());
+      ASSERT_EQ(per_t.size(), axisTemperatures().size());
+      for (std::size_t t = 0; t < per_t.size(); ++t) {
+        const auto fresh =
+            Characterizer(atTemperature(base, axisTemperatures()[t]),
+                          pathGrid(path))
+                .characterizeKind(kind);
+        ASSERT_EQ(per_t[t].size(), fresh.size());
+        for (std::size_t v = 0; v < fresh.size(); ++v) {
+          expectBitIdentical(per_t[t][v], fresh[v]);
+        }
+      }
+    }
+  }
+}
+
+// The warm path's continuation seeds (in-scan and across temperatures)
+// move no table beyond solver tolerance, in every flavour.
+TEST(CharacterizerTemperatureTest, WarmAxisWithinSolverToleranceOfCold) {
+  for (const device::Technology& base :
+       {device::defaultTechnology(), device::gateDominatedTechnology(),
+        device::btbtDominatedTechnology()}) {
+    const auto cold = Characterizer(base, pathGrid(SolverPath::kCompiled))
+                          .characterizeKind(gates::GateKind::kNand2,
+                                            axisTemperatures());
+    const auto warm =
+        Characterizer(base, pathGrid(SolverPath::kCompiledWarmStart))
+            .characterizeKind(gates::GateKind::kNand2, axisTemperatures());
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t t = 0; t < cold.size(); ++t) {
+      for (std::size_t v = 0; v < cold[t].size(); ++v) {
+        EXPECT_LT(maxTableRelDiff(cold[t][v], warm[t][v]), 1e-6)
+            << "flavour " << base.nmos.name << " T "
+            << axisTemperatures()[t];
+      }
+    }
+  }
+}
+
+// The lane-parallel path over a temperature list agrees with the cold
+// reference at every temperature; its isolated reference is solver-free,
+// hence exact.
+TEST(CharacterizerTemperatureTest, BatchedAxisWithinSolverToleranceOfCold) {
+  const device::Technology base = device::defaultTechnology();
+  const std::vector<double> temps = {233.0, 263.0, 293.0,
+                                     323.0, 353.0, 398.0};
+  for (gates::GateKind kind :
+       {gates::GateKind::kInv, gates::GateKind::kNand2}) {
+    const auto cold = Characterizer(base, pathGrid(SolverPath::kCompiled))
+                          .characterizeKind(kind, temps);
+    const auto batched = Characterizer(base, pathGrid(SolverPath::kBatched))
+                             .characterizeKind(kind, temps);
+    ASSERT_EQ(batched.size(), cold.size());
+    for (std::size_t t = 0; t < cold.size(); ++t) {
+      ASSERT_EQ(batched[t].size(), cold[t].size());
+      for (std::size_t v = 0; v < cold[t].size(); ++v) {
+        EXPECT_LT(maxTableRelDiff(cold[t][v], batched[t][v]), 1e-6)
+            << "T " << temps[t] << " vec " << v;
+        EXPECT_EQ(batched[t][v].isolated_nominal.total(),
+                  cold[t][v].isolated_nominal.total());
+      }
+    }
+  }
+}
+
+// On the warm path only the first grid point of each vector at the first
+// temperature starts cold - so the cross-temperature bridge demonstrably
+// seeds every later row start - and each fixture is re-bound once per
+// later temperature.
+TEST(CharacterizerTemperatureTest, WarmAxisStartsColdOncePerVector) {
+  const Characterizer chr(device::defaultTechnology(),
+                          pathGrid(SolverPath::kCompiledWarmStart));
+  const std::size_t vectors = 4;  // NAND2
+  for (const std::vector<double>& temps :
+       {std::vector<double>{300.0}, axisTemperatures(),
+        std::vector<double>{233.0, 250.0, 290.0, 330.0, 370.0, 398.0}}) {
+    const obs::Snapshot before = obs::snapshot();
+    (void)chr.characterizeKind(gates::GateKind::kNand2, temps);
+    const obs::Snapshot delta = obs::snapshot().deltaSince(before);
+    EXPECT_EQ(delta.counterValue("char.grid_points") -
+                  delta.counterValue("char.warm_grid_points"),
+              vectors);
+    EXPECT_EQ(delta.counterValue("char.grid_points"),
+              vectors * temps.size() * 3 * 3);
+    EXPECT_EQ(delta.counterValue("thermal.fixture_rebinds"),
+              vectors * (temps.size() - 1));
+  }
+}
+
+TEST(CharacterizerTemperatureTest, RejectsMalformedTemperatureLists) {
+  const Characterizer chr(device::defaultTechnology(),
+                          smallGrid({gates::GateKind::kInv}));
+  EXPECT_THROW(chr.characterizeKind(gates::GateKind::kInv, {}), Error);
+  EXPECT_THROW(chr.characterizeKind(gates::GateKind::kInv, {300.0, 300.0}),
+               Error);
+  EXPECT_THROW(chr.characterizeKind(gates::GateKind::kInv, {350.0, 300.0}),
+               Error);
 }
 
 TEST(CharacterizerTest, PinCurrentMagnitudesAreHundredsOfNanoamps) {

@@ -84,6 +84,36 @@ TEST(LoadingFixtureTest, LeakageExcludesDrivers) {
   EXPECT_LT(toNanoAmps(r.leakage.total()), 3000.0);
 }
 
+// The DeviceCoeffs re-bind-at-T contract, fixture level: re-binding a
+// fixture to a new temperature and solving cold is bit-identical to a
+// fixture freshly constructed at that temperature.
+TEST(LoadingFixtureTest, TemperatureRebindMatchesFreshBuild) {
+  const device::Technology tech = device::defaultTechnology();
+  for (double temperature_k : {253.0, 363.0, 398.0}) {
+    LoadingFixture rebound(gates::GateKind::kNand2, {true, false}, tech);
+    // Solve once at the construction temperature so the kernel exists and
+    // carries 300 K coefficients before the re-bind.
+    rebound.setInputLoading(1.0e-6);
+    rebound.setOutputLoading(-0.5e-6);
+    (void)rebound.solveCompiled();
+    rebound.rebindTemperature(temperature_k);
+
+    device::Technology tech_t = tech;
+    tech_t.temperature_k = temperature_k;
+    LoadingFixture fresh(gates::GateKind::kNand2, {true, false}, tech_t);
+    fresh.setInputLoading(1.0e-6);
+    fresh.setOutputLoading(-0.5e-6);
+
+    const FixtureResult a = rebound.solveCompiled();
+    const FixtureResult b = fresh.solveCompiled();
+    EXPECT_EQ(a.leakage.subthreshold, b.leakage.subthreshold);
+    EXPECT_EQ(a.leakage.gate, b.leakage.gate);
+    EXPECT_EQ(a.leakage.btbt, b.leakage.btbt);
+    EXPECT_EQ(a.voltages, b.voltages);
+    EXPECT_EQ(a.pin_currents_into_net, b.pin_currents_into_net);
+  }
+}
+
 TEST(LoadingFixtureTest, SolveIsRepeatable) {
   LoadingFixture fx(gates::GateKind::kNand2, {true, false},
                     device::defaultTechnology());

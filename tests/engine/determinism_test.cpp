@@ -3,8 +3,6 @@
 // paths exactly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "core/characterizer.h"
@@ -84,56 +82,6 @@ TEST(EngineDeterminismTest, McSweepBitIdenticalAcross1And2And8Threads) {
     for (std::size_t bin = 0; bin < h1.binCount(); ++bin) {
       EXPECT_EQ(h1.count(bin), h.count(bin));
     }
-  }
-}
-
-TEST(EngineDeterminismTest, RunBatchedMatchesEngineAndSequentialPath) {
-  const McSweep sweep = smallMcSweep();
-  const mc::MonteCarloEngine engine(sweep.technology, sweep.sigmas,
-                                    sweep.fixture);
-  // Sequential reference: null executor on the calling thread.
-  const auto sequential = engine.runBatched(sweep.samples, sweep.seed);
-  // Engine-backed: pool executor with 4 threads. Lane groups are keyed to
-  // absolute trial index, so partitioning must not change a single bit.
-  BatchRunner runner(BatchOptions{.threads = 4});
-  const auto pooled =
-      engine.runBatched(sweep.samples, sweep.seed, runner.mcExecutor());
-  const McBatchResult batch = runner.run(sweep);
-
-  // The SIMD-batched population agrees with the scalar per-trial path
-  // (runner.run / runSample) within solver tolerance - the lockstep
-  // transcendentals and the batched nominal seed differ bit-wise, the
-  // converged operating points do not.
-  const auto near = [](double got, double want) {
-    EXPECT_NEAR(got, want, 1e-6 * std::max(std::fabs(want), 1e-300));
-  };
-  ASSERT_EQ(sequential.size(), pooled.size());
-  ASSERT_EQ(sequential.size(), batch.samples.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].with_loading.total(),
-              pooled[i].with_loading.total());
-    EXPECT_EQ(sequential[i].without_loading.btbt,
-              pooled[i].without_loading.btbt);
-    near(sequential[i].with_loading.total(),
-         batch.samples[i].with_loading.total());
-    near(sequential[i].without_loading.btbt,
-         batch.samples[i].without_loading.btbt);
-    // Each sample is a pure function of (seed, index).
-    near(sequential[i].with_loading.subthreshold,
-         engine.runSample(sweep.seed, i).with_loading.subthreshold);
-  }
-
-  // With batching disabled, runBatched IS the scalar per-trial path -
-  // bit-identical to runSample for every trial.
-  mc::MonteCarloEngine scalar_engine(sweep.technology, sweep.sigmas,
-                                     sweep.fixture);
-  scalar_engine.setUseBatchedSolves(false);
-  const auto scalar = scalar_engine.runBatched(sweep.samples, sweep.seed);
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(scalar[i].with_loading.total(),
-              batch.samples[i].with_loading.total());
-    EXPECT_EQ(scalar[i].without_loading.subthreshold,
-              batch.samples[i].without_loading.subthreshold);
   }
 }
 

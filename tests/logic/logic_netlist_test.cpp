@@ -2,12 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace nanoleak::logic {
 namespace {
 
 using gates::GateKind;
+
+/// The message of the nanoleak::Error `fn` throws, or "" when it throws
+/// none.
+template <typename Fn>
+std::string errorMessage(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(LogicNetlistTest, NetsAreNamedAndUnique) {
   LogicNetlist nl;
@@ -119,6 +133,41 @@ TEST(LogicNetlistTest, ValidateCatchesUndrivenInputs) {
   const NetId out = nl.addNet("out");
   nl.addGate(GateKind::kInv, {a}, out);
   EXPECT_THROW(nl.validate(), Error);
+}
+
+// One check of every concatenated-message family, pinned to its exact
+// text: the messages are built only when the check fails.
+TEST(LogicNetlistTest, ErrorMessagesNameTheOffendingNet) {
+  LogicNetlist nl;
+  const NetId a = nl.addNet("a");
+  EXPECT_EQ(errorMessage([&] { nl.addNet("a"); }),
+            "LogicNetlist::addNet: duplicate net name 'a'");
+  EXPECT_EQ(errorMessage([&] { (void)nl.net("zz"); }),
+            "LogicNetlist::net: unknown net 'zz'");
+  nl.markPrimaryInput(a);
+  EXPECT_EQ(errorMessage([&] { nl.markPrimaryInput(a); }),
+            "markPrimaryInput: net 'a' already driven");
+  EXPECT_EQ(errorMessage([&] { nl.addDff(a, a); }),
+            "addDff: q net 'a' already driven");
+
+  LogicNetlist gate_reads_undriven;
+  const NetId u = gate_reads_undriven.addNet("u");
+  const NetId out = gate_reads_undriven.addNet("out");
+  gate_reads_undriven.addGate(GateKind::kInv, {u}, out, "g0");
+  EXPECT_EQ(errorMessage([&] { gate_reads_undriven.validate(); }),
+            "validate: gate 'g0' reads undriven net 'u'");
+
+  LogicNetlist dff_reads_undriven;
+  const NetId d = dff_reads_undriven.addNet("d");
+  const NetId q = dff_reads_undriven.addNet("q");
+  dff_reads_undriven.addDff(d, q, "ff0");
+  EXPECT_EQ(errorMessage([&] { dff_reads_undriven.validate(); }),
+            "validate: DFF 'ff0' reads undriven net 'd'");
+
+  LogicNetlist undriven_output;
+  undriven_output.markPrimaryOutput(undriven_output.addNet("p"));
+  EXPECT_EQ(errorMessage([&] { undriven_output.validate(); }),
+            "validate: primary output 'p' undriven");
 }
 
 TEST(LogicNetlistTest, StatsComputeDepthAndFanout) {

@@ -57,38 +57,6 @@ TEST(MonteCarloTest, CompiledFixturesMatchLegacyRebuildPerTrial) {
   }
 }
 
-TEST(MonteCarloTest, BatchedRunMatchesScalarPerTrialPath) {
-  // The lane-parallel runBatched population (the default) agrees with the
-  // per-trial scalar path on every sample, including the partial trailing
-  // lane group (7 is not a multiple of any SIMD width in use).
-  MonteCarloEngine batched = makeEngine();
-  MonteCarloEngine scalar = makeEngine();
-  scalar.setUseBatchedSolves(false);
-  ASSERT_TRUE(batched.useBatchedSolves());
-
-  const std::uint64_t seed = 20050307;
-  const std::size_t samples = 7;
-  const auto a = batched.runBatched(samples, seed);
-  const auto b = scalar.runBatched(samples, seed);
-  ASSERT_EQ(a.size(), samples);
-  ASSERT_EQ(b.size(), samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    EXPECT_NEAR(a[i].with_loading.total(), b[i].with_loading.total(),
-                1e-6 * b[i].with_loading.total())
-        << "trial " << i;
-    EXPECT_NEAR(a[i].without_loading.total(), b[i].without_loading.total(),
-                1e-6 * b[i].without_loading.total())
-        << "trial " << i;
-    EXPECT_NEAR(a[i].with_loading.subthreshold,
-                b[i].with_loading.subthreshold,
-                1e-6 * b[i].with_loading.total());
-    EXPECT_NEAR(a[i].with_loading.gate, b[i].with_loading.gate,
-                1e-6 * b[i].with_loading.total());
-    EXPECT_NEAR(a[i].with_loading.btbt, b[i].with_loading.btbt,
-                1e-6 * b[i].with_loading.total());
-  }
-}
-
 TEST(MonteCarloTest, DeterministicForSeed) {
   const MonteCarloEngine engine = makeEngine();
   const auto a = engine.run(10, 77);

@@ -14,6 +14,17 @@ std::string wrap(const std::string& fields) {
          (fields.empty() ? "" : "," + fields) + "}";
 }
 
+/// The message of the nanoleak::Error that decoding `json` throws, or ""
+/// when it decodes.
+std::string decodeError(const std::string& json) {
+  try {
+    (void)decodeRequest(json);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ServeProtocolTest, OpAndStatusNamesRoundTrip) {
   for (ServeOp op :
        {ServeOp::kPing, ServeOp::kRun, ServeOp::kEstimate,
@@ -126,6 +137,33 @@ TEST(ServeProtocolTest, RejectsMalformedRequests) {
       decodeRequest(wrap("\"op\":\"thermal\",\"circuit\":\"c17\","
                          "\"tmin\":300,\"tmax\":300")),
       Error);
+}
+
+// One check of every validation family, pinned to its exact text: the
+// messages are concatenated only when the check fails, and must read the
+// same as when they were built on every call.
+TEST(ServeProtocolTest, RejectionMessagesNameTheOffendingField) {
+  EXPECT_EQ(decodeError("[1]"),
+            "serve request: document is not a JSON object");
+  EXPECT_EQ(decodeError("{\"op\":\"ping\"}"),
+            "serve request: missing 'format' tag");
+  EXPECT_EQ(decodeError("{\"format\":\"v0\",\"op\":\"ping\"}"),
+            std::string("serve request: format is 'v0', want '") +
+                kServeFormat + "'");
+  EXPECT_EQ(decodeError(wrap("\"op\":\"run\"")),
+            "serve run request: requires a non-empty string 'target'");
+  EXPECT_EQ(decodeError(wrap("\"op\":\"ping\",\"id\":7")),
+            "serve request: 'id' must be a string");
+  EXPECT_EQ(decodeError(wrap("\"op\":\"estimate\",\"circuit\":\"c17\","
+                             "\"temperature_k\":\"hot\"")),
+            "serve request: 'temperature_k' must be a number");
+  EXPECT_EQ(decodeError(wrap("\"op\":\"estimate\",\"circuit\":\"c17\","
+                             "\"loading\":1")),
+            "serve request: 'loading' must be a boolean");
+  EXPECT_EQ(decodeError(wrap("\"op\":\"mc\",\"samples\":1.5")),
+            "serve request: 'samples' must be a non-negative integer");
+  EXPECT_EQ(decodeError(wrap("\"op\":\"ping\",\"vektors\":3")),
+            "serve request: unknown field 'vektors'");
 }
 
 TEST(ServeProtocolTest, ResponseRoundTripsArbitraryPayloadBytes) {

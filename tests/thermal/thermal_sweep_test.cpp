@@ -24,11 +24,71 @@ core::CharacterizationOptions quickOptions() {
   return options;
 }
 
+/// The default (warm-path) sweep on the quick loading grid.
 ThermalSweepOptions quickSweepOptions() {
   ThermalSweepOptions options;
   options.grid = {253.0, 373.0, 4};
-  options.characterization = quickOptions();
+  options.characterization.loading_grid = quickOptions().loading_grid;
   return options;
+}
+
+TEST(ThermalGridTest, UniformInclusiveGrid) {
+  const ThermalGrid grid{233.0, 398.0, 4};
+  const std::vector<double> temps = grid.temperatures();
+  ASSERT_EQ(temps.size(), 4u);
+  EXPECT_DOUBLE_EQ(temps.front(), 233.0);
+  EXPECT_DOUBLE_EQ(temps.back(), 398.0);
+  EXPECT_DOUBLE_EQ(temps[1], 233.0 + 165.0 / 3.0);
+  for (std::size_t i = 1; i < temps.size(); ++i) {
+    EXPECT_GT(temps[i], temps[i - 1]);
+  }
+}
+
+TEST(ThermalGridTest, SinglePointAndValidation) {
+  EXPECT_EQ(ThermalGrid({300.0, 300.0, 1}).temperatures(),
+            std::vector<double>{300.0});
+  EXPECT_THROW(ThermalGrid({300.0, 300.0, 2}).temperatures(), Error);
+  EXPECT_THROW(ThermalGrid({300.0, 250.0, 3}).temperatures(), Error);
+  EXPECT_THROW(ThermalGrid({300.0, 350.0, 0}).temperatures(), Error);
+}
+
+TEST(ThermalSweepEngineTest, DefaultsToTheWarmPath) {
+  EXPECT_EQ(ThermalSweepOptions{}.characterization.solver_path,
+            core::CharacterizationOptions::SolverPath::kCompiledWarmStart);
+}
+
+TEST(ThermalSweepEngineTest, CharacterizeBuildsPerTemperatureLibraries) {
+  ThermalSweepOptions options = quickSweepOptions();
+  options.grid = {250.0, 350.0, 3};
+  const ThermalSweepEngine engine(device::defaultTechnology(), options);
+  const ThermalLibrarySet set =
+      engine.characterize({gates::GateKind::kInv, gates::GateKind::kNand2});
+  ASSERT_EQ(set.temperatures.size(), 3u);
+  ASSERT_EQ(set.libraries.size(), 3u);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_DOUBLE_EQ(set.libraries[t].meta().temperature_k,
+                     set.temperatures[t]);
+    EXPECT_TRUE(set.libraries[t].has(gates::GateKind::kInv));
+    EXPECT_TRUE(set.libraries[t].has(gates::GateKind::kNand2));
+  }
+  // Leakage must grow with temperature for the subthreshold-dominated
+  // flavour (nominal INV table, either vector).
+  const double cold_total =
+      set.libraries.front().table(gates::GateKind::kInv, 0).nominal.total();
+  const double hot_total =
+      set.libraries.back().table(gates::GateKind::kInv, 0).nominal.total();
+  EXPECT_GT(hot_total, cold_total);
+}
+
+TEST(ThermalSweepEngineTest, RejectsMalformedGrids) {
+  ThermalSweepOptions bad_loading = quickSweepOptions();
+  bad_loading.characterization.loading_grid = {1.0e-6, 2.0e-6};
+  EXPECT_THROW(ThermalSweepEngine(device::defaultTechnology(), bad_loading),
+               Error);
+  ThermalSweepOptions bad_grid = quickSweepOptions();
+  bad_grid.grid = {300.0, 250.0, 3};
+  EXPECT_THROW(ThermalSweepEngine(device::defaultTechnology(), bad_grid),
+               Error);
 }
 
 std::vector<std::vector<bool>> patternsFor(

@@ -1,7 +1,7 @@
 // Lane abstraction tests: generic and native-width backends must agree
 // with scalar libm to a few ulp, masks must blend bitwise (discarding
 // inf/NaN in masked-off lanes), and ldexp/frexp must round-trip. The
-// transcendental accuracy bounds here back the batch solver's <=1e-6
+// transcendental accuracy bounds here back the lane solver's <=1e-6
 // scalar-equivalence gate with plenty of margin.
 #include "util/simd.h"
 

@@ -2,7 +2,7 @@
 """Approximate the CI Doxygen gate without Doxygen installed.
 
 Walks the documented API headers (src/core, src/engine, src/thermal,
-src/obs, src/search, plus the individually listed batch-solver headers) and
+src/obs, src/search, plus the individually listed lane-solver headers) and
 reports public declarations that are not immediately preceded by a `///`
 doc comment. This is a lightweight lexical check - the authoritative gate
 is `doxygen Doxyfile` in CI (WARN_AS_ERROR = FAIL_ON_WARNINGS) - but it
@@ -23,10 +23,11 @@ DEFAULT_DIRS = [
     "src/thermal",
     "src/obs",
     "src/search",
-    # The SIMD batch-solver API, documented file by file (their home
-    # directories are otherwise internal). Keep in sync with Doxyfile INPUT.
+    # The SIMD lane-solver API (SolverKernel::solveLanes and its lanes),
+    # documented file by file (their home directories are otherwise
+    # internal). Keep in sync with Doxyfile INPUT.
     "src/util/simd.h",
-    "src/circuit/batch_solver_kernel.h",
+    "src/circuit/solver_kernel.h",
 ]
 
 # Lines that open a documentable declaration. Deliberately coarse: we only
