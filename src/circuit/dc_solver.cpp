@@ -113,9 +113,8 @@ Solution DcSolver::solve(const Netlist& netlist,
                          const std::vector<double>& initial_guess,
                          const std::vector<NodeId>& sweep_order) const {
   const auto incidence = buildIncidence(netlist);
-  return detail::gaussSeidelSolve(
-      NetlistEvaluator{netlist, incidence, options_}, options_, initial_guess,
-      sweep_order);
+  return detail::solveRecorded(NetlistEvaluator{netlist, incidence, options_},
+                               options_, initial_guess, sweep_order);
 }
 
 }  // namespace nanoleak::circuit

@@ -1,27 +1,42 @@
-// Shared nonlinear Gauss-Seidel solve driver.
+// The nonlinear Gauss-Seidel solve driver, written once for every solve.
 //
-// DcSolver (interpreting a Netlist directly) and SolverKernel (running on
-// compiled SoA device arrays) differ only in how a node's KCL residual is
-// evaluated; the sweep/cluster/safeguarded-Newton machinery is this one
-// template, instantiated over an Evaluator. A single driver is what makes
-// the two paths bit-identical by construction: given equal residual values
-// they perform the exact same floating-point operation sequence.
+// DcSolver (interpreting a Netlist), SolverKernel::solve (compiled SoA
+// device arrays) and SolverKernel::solveLanes (W operating points in SIMD
+// lockstep) differ only in how a node's KCL residual is evaluated and in
+// its value type, so the sweep/cluster/safeguarded-Newton machinery is
+// this one template over the value type T and an Evaluator:
+//  * T = double solves one operating point with bool masks and the double
+//    primitives of util/simd.h - the scalar operation sequence, so given
+//    equal residual values DcSolver and SolverKernel::solve perform the
+//    exact same floating-point operations (bit-identical by construction).
+//  * T = util::Lanes<W> solves up to W operating points of one circuit,
+//    voltages laid out [node][lane]. Converged lanes freeze by mask (their
+//    voltages and work counters stop) while stragglers iterate; clusters
+//    come from the union of the live lanes' ON pairs; dense Newton steps
+//    are solved per lane and line-searched under an accept mask. Lanes
+//    past the seeds given are dormant: mid-bracket, masked out throughout.
+//
+// The driver records nothing: callers record each solve once, when it
+// finishes (detail::recordSolve), so a lane the lockstep driver leaves
+// unconverged is counted only by the solve that settles it.
 //
 // Evaluator concept:
 //   std::size_t nodeCount() const;
 //   bool isFixed(NodeId node) const;
 //   double fixedVoltage(NodeId node) const;            // requires isFixed
-//   double residual(const std::vector<double>& v, NodeId node) const;
+//   T residual(const std::vector<T>& v, NodeId node) const;
 //   template <typename F>                              // f(drain, source)
 //   void forOnPairs(const std::vector<double>& v, F&& f) const;
 //     // every device whose drain AND source are free and whose channel is
-//     // ON at v, in device order
+//     // ON at v (one lane's voltages), in device order
 #pragma once
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "circuit/dc_solver.h"
@@ -31,8 +46,15 @@
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/linalg.h"
+#include "util/simd.h"
 
 namespace nanoleak::circuit::detail {
+
+// The primitives the driver calls (util/simd.h: double and Lanes<W>).
+using util::laneAbs, util::laneAt, util::laneClamp, util::laneGT,
+    util::laneIsFinite, util::laneLT, util::laneMax, util::laneMin,
+    util::laneSelect, util::maskAll, util::maskAnd, util::maskAny, util::maskAt,
+    util::maskNot, util::maskOr, util::setLaneAt, util::setMaskAt;
 
 /// Minimal union-find for clustering strongly coupled nodes.
 class UnionFind {
@@ -53,55 +75,57 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-/// Groups free nodes connected drain-to-source through an ON transistor.
-/// Such pairs are so strongly coupled that scalar relaxation crawls; each
-/// cluster is solved as one dense Newton block instead.
-template <typename Evaluator>
-std::vector<std::vector<NodeId>> buildClusters(
-    const Evaluator& eval, const std::vector<double>& voltages,
-    const std::vector<NodeId>& order) {
-  UnionFind uf(eval.nodeCount());
-  eval.forOnPairs(voltages,
-                  [&](NodeId drain, NodeId source) { uf.unite(drain, source); });
-  // Emit clusters in sweep order, members ordered by sweep position.
-  std::vector<std::vector<NodeId>> clusters;
-  std::vector<std::ptrdiff_t> cluster_of(eval.nodeCount(), -1);
-  for (NodeId node : order) {
-    const std::size_t root = uf.find(node);
-    if (cluster_of[root] < 0) {
-      cluster_of[root] = static_cast<std::ptrdiff_t>(clusters.size());
-      clusters.emplace_back();
-    }
-    clusters[static_cast<std::size_t>(cluster_of[root])].push_back(node);
-  }
-  return clusters;
-}
+/// Starting point of one lane of a solve.
+struct LaneSeed {
+  /// Starting node voltages, clamped into the bracket; null or empty
+  /// starts every free node mid-bracket.
+  const std::vector<double>* initial_guess = nullptr;
+  /// Voltages the initial clusters' ON/OFF devices are classified from;
+  /// null (or a size mismatch) = the starting voltages. Warm starts pass
+  /// the cold logic-level seed: at a near-solved warm seed, series-stack
+  /// devices sit at marginal Vgs and read as OFF, which would dissolve
+  /// the dense-Newton blocks that make the solve fast.
+  const std::vector<double>* cluster_guess = nullptr;
+};
 
-/// `cluster_guess` (optional) supplies the voltages ON/OFF devices are
-/// classified from when forming the initial strongly-coupled clusters.
-/// Warm starts pass the cold logic-level seed here: at a near-solved warm
-/// seed, series-stack devices sit at marginal Vgs and read as OFF, which
-/// would dissolve exactly the dense-Newton blocks that make the solve
-/// fast. Null = classify from the initial voltages (the legacy behavior).
-template <typename Evaluator>
-Solution gaussSeidelSolve(const Evaluator& eval, const SolverOptions& options,
-                          const std::vector<double>& initial_guess,
-                          const std::vector<NodeId>& sweep_order,
-                          const std::vector<double>* cluster_guess = nullptr) {
+/// Solves `seeds.size()` (1..kWidth of T) operating points of the circuit
+/// `eval` describes, lane i starting from seeds[i], relaxing free nodes in
+/// `sweep_order` (then any free node it omits) for at most `max_sweeps`
+/// sweeps. Returns one Solution per seed in lane order. A lane that does
+/// not converge reports converged == false, sweeps == max_sweeps and the
+/// max residual at its final voltages. Polls util::pollCancel() at every
+/// sweep boundary; records no solve (see file comment).
+template <typename T, typename Evaluator>
+std::array<Solution, util::LaneTraits<T>::kWidth> gaussSeidelSolve(
+    const Evaluator& eval, const SolverOptions& options,
+    std::span<const LaneSeed> seeds, const std::vector<NodeId>& sweep_order,
+    std::size_t max_sweeps) {
+  using Mask = util::MaskOf<T>;
+  constexpr std::size_t kWidth = util::LaneTraits<T>::kWidth;
+  const std::size_t lanes = seeds.size();
   const std::size_t n = eval.nodeCount();
-  require(initial_guess.empty() || initial_guess.size() == n,
-          "DC solve: initial guess size mismatch");
+  require(lanes >= 1 && lanes <= kWidth, "DC solve: lane count out of range");
+  for (const LaneSeed& seed : seeds) {
+    require(seed.initial_guess == nullptr || seed.initial_guess->empty() ||
+                seed.initial_guess->size() == n,
+            "DC solve: initial guess size mismatch");
+  }
   OBS_SPAN("solve.gauss_seidel", ::nanoleak::obs::TraceLevel::kDetail);
 
-  Solution solution;
-  solution.voltages.assign(n,
-                           0.5 * (options.bracket_lo + options.bracket_hi));
+  std::array<Solution, kWidth> solutions;
+  std::vector<T> v(n, T(0.5 * (options.bracket_lo + options.bracket_hi)));
   for (NodeId node = 0; node < n; ++node) {
     if (eval.isFixed(node)) {
-      solution.voltages[node] = eval.fixedVoltage(node);
-    } else if (!initial_guess.empty()) {
-      solution.voltages[node] = std::clamp(
-          initial_guess[node], options.bracket_lo, options.bracket_hi);
+      v[node] = T(eval.fixedVoltage(node));
+      continue;
+    }
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::vector<double>* guess = seeds[lane].initial_guess;
+      if (guess != nullptr && !guess->empty()) {
+        setLaneAt(v[node], lane,
+                  std::clamp((*guess)[node], options.bracket_lo,
+                             options.bracket_hi));
+      }
     }
   }
 
@@ -122,202 +146,324 @@ Solution gaussSeidelSolve(const Evaluator& eval, const SolverOptions& options,
       order.push_back(node);
     }
   }
+
+  Mask dormant{};
+  for (std::size_t lane = lanes; lane < kWidth; ++lane) {
+    setMaskAt(dormant, lane, true);
+  }
+  Mask converged{};
+
+  // Every live lane's outcome, voltages out of the [node][lane] layout.
+  auto finish = [&]() {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      Solution& solution = solutions[lane];
+      solution.converged = maskAt(converged, lane);
+      if (!solution.converged) {
+        solution.sweeps = max_sweeps;
+      }
+      solution.voltages.resize(n);
+      for (NodeId node = 0; node < n; ++node) {
+        solution.voltages[node] = laneAt(v[node], lane);
+      }
+    }
+    return std::move(solutions);
+  };
   if (order.empty()) {
-    solution.converged = true;
-    detail::recordSolve(solution.node_solves, true, solution.sweeps);
-    return solution;
+    converged = maskNot(dormant);
+    return finish();
   }
 
-  auto& v = solution.voltages;
-  const double f_exit = 0.1 * options.tol_current;
+  const T lo_bound(options.bracket_lo);
+  const T hi_bound(options.bracket_hi);
+  const T h(1e-7);  // forward-difference step: << 1 V, >> double rounding
+  const T f_exit(0.1 * options.tol_current);
 
-  // Scalar solve at one node: safeguarded Newton on the (monotone in v)
-  // residual, with a maintained bisection bracket as fallback. Returns the
-  // voltage change magnitude.
-  auto solveScalar = [&](NodeId node) -> double {
-    double lo = options.bracket_lo;
-    double hi = options.bracket_hi;
-    const double start = v[node];
-    double x = start;
-    double fx = eval.residual(v, node);
-    ++solution.node_solves;
+  // One node (or cluster) solve for every lane not in `skip`.
+  auto chargeNodeSolve = [&](Mask skip) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (!maskAt(skip, lane)) {
+        ++solutions[lane].node_solves;
+      }
+    }
+  };
+
+  // Solve at one node: safeguarded Newton on the (monotone in v) residual,
+  // with a maintained bisection bracket as fallback. Lanes in `skip` never
+  // move. Returns the voltage change magnitude.
+  auto solveNode = [&](NodeId node, Mask skip) -> T {
+    T lo = lo_bound;
+    T hi = hi_bound;
+    const T start = v[node];
+    T x = start;
+    T fx = eval.residual(v, node);
+    chargeNodeSolve(skip);
+    Mask done = skip;
     for (std::size_t iter = 0; iter < options.max_node_iterations; ++iter) {
-      if (std::abs(fx) < f_exit) {
+      done = maskOr(done, laneLT(laneAbs(fx), f_exit));
+      if (maskAll(done)) {
         break;
       }
-      if (fx > 0.0) {
-        hi = std::min(hi, x);
-      } else {
-        lo = std::max(lo, x);
-      }
-      // Forward-difference derivative; h small vs. voltage scale, large vs.
-      // double rounding on ~1 V values.
-      const double h = 1e-7;
-      v[node] = x + h;
-      const double fxh = eval.residual(v, node);
-      const double dfdx = (fxh - fx) / h;
-      double next;
-      if (dfdx > 0.0 && std::isfinite(dfdx)) {
-        next = x - fx / dfdx;
-      } else {
-        next = 0.5 * (lo + hi);
-      }
-      if (!(next > lo && next < hi)) {
-        next = 0.5 * (lo + hi);
-      }
-      if (std::abs(next - x) < 1e-15) {
+      const Mask live = maskNot(done);
+      const Mask fx_pos = laneGT(fx, T(0.0));
+      hi = laneSelect(maskAnd(live, fx_pos), laneMin(hi, x), hi);
+      lo = laneSelect(maskAnd(live, maskNot(fx_pos)), laneMax(lo, x), lo);
+      v[node] = laneSelect(done, x, x + h);
+      const T fxh = eval.residual(v, node);
+      const T dfdx = (fxh - fx) / h;
+      const T mid = T(0.5) * (lo + hi);
+      // Frozen lanes see dfdx == 0 (their voltage did not move); the
+      // Newton step then divides by zero and the selects discard it.
+      const Mask newton_ok = maskAnd(laneGT(dfdx, T(0.0)), laneIsFinite(dfdx));
+      T next = laneSelect(newton_ok, x - fx / dfdx, mid);
+      next = laneSelect(maskAnd(laneGT(next, lo), laneLT(next, hi)), next,
+                        mid);
+      done = maskOr(done, laneLT(laneAbs(next - x), T(1e-15)));
+      if (maskAll(done)) {
         break;
       }
-      x = next;
+      x = laneSelect(done, x, next);
       v[node] = x;
       fx = eval.residual(v, node);
     }
     v[node] = x;
-    return std::abs(x - start);
+    return laneAbs(x - start);
   };
 
-  // Dense Newton over one strongly-coupled cluster (a few unknowns).
-  auto solveCluster = [&](const std::vector<NodeId>& members) -> double {
+  // Largest |value| per lane.
+  auto maxAbs = [](const std::vector<T>& values) {
+    T m(0.0);
+    for (const T& value : values) {
+      m = laneMax(m, laneAbs(value));
+    }
+    return m;
+  };
+
+  // Dense Newton over one strongly-coupled cluster (a few unknowns): a
+  // numeric Jacobian, per-lane dense solves and a damped, bracket-clamped
+  // line search on the residual norm; lanes whose step is rejected take
+  // one coordinate-descent pass through the cluster instead.
+  auto solveCluster = [&](const std::vector<NodeId>& members,
+                          Mask skip) -> T {
     const std::size_t k = members.size();
-    std::vector<double> f(k);
-    std::vector<double> start(k);
+    std::vector<T> f(k);
+    std::vector<T> start(k);
     for (std::size_t i = 0; i < k; ++i) {
       start[i] = v[members[i]];
       f[i] = eval.residual(v, members[i]);
     }
-    ++solution.node_solves;
-    std::vector<double> jac(k * k);
+    chargeNodeSolve(skip);
+    Mask done = skip;
+    std::vector<T> jac(k * k);
+    std::vector<T> step(k);
+    std::vector<T> backup(k);
+    std::vector<T> f_new(k);
+    std::vector<double> matrix(k * k);
     std::vector<double> rhs(k);
-    std::vector<double> trial(k);
-    auto maxAbs = [](const std::vector<double>& values) {
-      double m = 0.0;
-      for (double value : values) {
-        m = std::max(m, std::abs(value));
-      }
-      return m;
-    };
     for (std::size_t iter = 0; iter < options.max_node_iterations; ++iter) {
-      if (maxAbs(f) < f_exit) {
+      done = maskOr(done, laneLT(maxAbs(f), f_exit));
+      if (maskAll(done)) {
         break;
       }
       // Numeric Jacobian, column by column.
-      const double h = 1e-7;
       for (std::size_t j = 0; j < k; ++j) {
-        const double saved = v[members[j]];
+        const T saved = v[members[j]];
         v[members[j]] = saved + h;
         for (std::size_t i = 0; i < k; ++i) {
-          const double fi = eval.residual(v, members[i]);
-          jac[i * k + j] = (fi - f[i]) / h;
+          jac[i * k + j] = (eval.residual(v, members[i]) - f[i]) / h;
         }
         v[members[j]] = saved;
       }
-      for (std::size_t i = 0; i < k; ++i) {
-        rhs[i] = -f[i];
-      }
-      std::vector<double> jac_copy = jac;
-      bool solved = solveDense(jac_copy, rhs, k);
-      bool accepted = false;
-      if (solved) {
-        // Damped, bracket-clamped line search on the residual norm.
-        double alpha = 1.0;
-        const double f_norm = maxAbs(f);
-        for (int attempt = 0; attempt < 6; ++attempt) {
+      Mask solved{};
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if (maskAt(done, lane)) {
+          continue;
+        }
+        for (std::size_t idx = 0; idx < k * k; ++idx) {
+          matrix[idx] = laneAt(jac[idx], lane);
+        }
+        for (std::size_t i = 0; i < k; ++i) {
+          rhs[i] = -laneAt(f[i], lane);
+        }
+        if (solveDense(matrix, rhs, k)) {
+          setMaskAt(solved, lane, true);
           for (std::size_t i = 0; i < k; ++i) {
-            trial[i] = std::clamp(v[members[i]] + alpha * rhs[i],
-                                  options.bracket_lo, options.bracket_hi);
+            setLaneAt(step[i], lane, rhs[i]);
           }
-          std::vector<double> backup(k);
-          for (std::size_t i = 0; i < k; ++i) {
-            backup[i] = v[members[i]];
-            v[members[i]] = trial[i];
-          }
-          std::vector<double> f_new(k);
-          for (std::size_t i = 0; i < k; ++i) {
-            f_new[i] = eval.residual(v, members[i]);
-          }
-          if (maxAbs(f_new) < f_norm || maxAbs(f_new) < f_exit) {
-            f = f_new;
-            accepted = true;
-            break;
-          }
-          for (std::size_t i = 0; i < k; ++i) {
-            v[members[i]] = backup[i];
-          }
-          alpha *= 0.5;
         }
       }
-      if (!accepted) {
-        // Fallback: one coordinate-descent pass through the cluster.
+      const T f_norm = maxAbs(f);
+      Mask accepted = done;
+      for (std::size_t i = 0; i < k; ++i) {
+        backup[i] = v[members[i]];
+      }
+      T alpha(1.0);
+      for (int attempt = 0; attempt < 6; ++attempt) {
+        const Mask attempting = maskAnd(maskNot(accepted), solved);
+        if (!maskAny(attempting)) {
+          break;
+        }
+        for (std::size_t i = 0; i < k; ++i) {
+          const T trial =
+              laneClamp(backup[i] + alpha * step[i], lo_bound, hi_bound);
+          v[members[i]] = laneSelect(attempting, trial, v[members[i]]);
+        }
+        for (std::size_t i = 0; i < k; ++i) {
+          f_new[i] = eval.residual(v, members[i]);
+        }
+        const T f_new_norm = maxAbs(f_new);
+        const Mask ok =
+            maskOr(laneLT(f_new_norm, f_norm), laneLT(f_new_norm, f_exit));
+        const Mask newly = maskAnd(attempting, ok);
+        for (std::size_t i = 0; i < k; ++i) {
+          f[i] = laneSelect(newly, f_new[i], f[i]);
+        }
+        accepted = maskOr(accepted, newly);
+        const Mask rejected = maskAnd(attempting, maskNot(ok));
+        for (std::size_t i = 0; i < k; ++i) {
+          v[members[i]] = laneSelect(rejected, backup[i], v[members[i]]);
+        }
+        alpha = laneSelect(rejected, alpha * T(0.5), alpha);
+      }
+      const Mask fallback = maskAnd(maskNot(accepted), maskNot(dormant));
+      if (maskAny(fallback)) {
         static const obs::Counter cluster_fallbacks =
             obs::counter("solver.cluster_fallbacks");
-        cluster_fallbacks.increment();
+        std::uint64_t falling = 0;
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          falling += maskAt(fallback, lane) ? 1 : 0;
+        }
+        cluster_fallbacks.add(falling);
         for (NodeId node : members) {
-          solveScalar(node);
+          solveNode(node, maskNot(fallback));
         }
         for (std::size_t i = 0; i < k; ++i) {
           f[i] = eval.residual(v, members[i]);
         }
       }
     }
-    double max_dv = 0.0;
+    T max_dv(0.0);
     for (std::size_t i = 0; i < k; ++i) {
-      max_dv = std::max(max_dv, std::abs(v[members[i]] - start[i]));
+      max_dv = laneMax(max_dv, laneAbs(v[members[i]] - start[i]));
     }
     return max_dv;
   };
 
-  // Max |residual| over the free nodes, remembering the offending node so
-  // ConvergenceError messages can name it.
-  auto residualCheck = [&]() {
-    double max_residual = 0.0;
-    for (NodeId node : order) {
-      const double r = std::abs(eval.residual(v, node));
-      if (r > max_residual) {
-        max_residual = r;
-        solution.max_residual_node = node;
+  // Max |residual| over the free nodes for the lanes in `check`,
+  // remembering the offending node so ConvergenceError messages can name
+  // it.
+  auto residualCheck = [&](Mask check) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (maskAt(check, lane)) {
+        solutions[lane].max_residual = 0.0;
       }
     }
-    solution.max_residual = max_residual;
+    for (NodeId node : order) {
+      const T r = laneAbs(eval.residual(v, node));
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        Solution& s = solutions[lane];
+        if (maskAt(check, lane) && laneAt(r, lane) > s.max_residual) {
+          s.max_residual = laneAt(r, lane);
+          s.max_residual_node = node;
+        }
+      }
+    }
   };
 
-  auto clusters = buildClusters(
-      eval,
-      cluster_guess != nullptr && cluster_guess->size() == n ? *cluster_guess
-                                                             : v,
-      order);
-  bool reclustered = false;
+  // Groups free nodes connected drain-to-source through a transistor ON
+  // in any live lane. Such pairs are so strongly coupled that node-by-node
+  // relaxation crawls; each cluster is solved as one dense Newton block
+  // instead. Clusters come in sweep order, members ordered by sweep
+  // position.
+  std::vector<double> lane_voltages(n);
+  auto buildClusters = [&](bool initial) {
+    UnionFind uf(n);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (maskAt(converged, lane)) {
+        continue;
+      }
+      const std::vector<double>* classify = seeds[lane].cluster_guess;
+      if (!initial || classify == nullptr || classify->size() != n) {
+        for (NodeId node = 0; node < n; ++node) {
+          lane_voltages[node] = laneAt(v[node], lane);
+        }
+        classify = &lane_voltages;
+      }
+      eval.forOnPairs(*classify, [&](NodeId drain, NodeId source) {
+        uf.unite(drain, source);
+      });
+    }
+    std::vector<std::vector<NodeId>> clusters;
+    std::vector<std::ptrdiff_t> cluster_of(n, -1);
+    for (NodeId node : order) {
+      const std::size_t root = uf.find(node);
+      if (cluster_of[root] < 0) {
+        cluster_of[root] = static_cast<std::ptrdiff_t>(clusters.size());
+        clusters.emplace_back();
+      }
+      clusters[static_cast<std::size_t>(cluster_of[root])].push_back(node);
+    }
+    return clusters;
+  };
 
-  for (solution.sweeps = 1; solution.sweeps <= options.max_sweeps;
-       ++solution.sweeps) {
+  auto clusters = buildClusters(true);
+  bool reclustered = false;
+  for (std::size_t sweep = 1; sweep <= max_sweeps; ++sweep) {
     // Sweep boundaries are the solver's cancellation safe points: no
     // shared state is mid-update, so a deadline unwind here leaves only
-    // this (discarded) Solution partially filled.
+    // these (discarded) Solutions partially filled.
     util::pollCancel();
-    double max_dv = 0.0;
+    const Mask skip = maskOr(dormant, converged);
+    T max_dv(0.0);
     for (const std::vector<NodeId>& cluster : clusters) {
-      const double dv = cluster.size() == 1 ? solveScalar(cluster[0])
-                                            : solveCluster(cluster);
-      max_dv = std::max(max_dv, dv);
+      const T dv = cluster.size() == 1 ? solveNode(cluster[0], skip)
+                                       : solveCluster(cluster, skip);
+      max_dv = laneMax(max_dv, dv);
     }
-    if (max_dv < options.tol_voltage) {
+    const Mask settled =
+        maskAnd(maskNot(skip), laneLT(max_dv, T(options.tol_voltage)));
+    if (maskAny(settled)) {
       // Voltages settled; verify KCL everywhere before declaring victory.
-      residualCheck();
-      if (solution.max_residual < options.tol_current) {
-        solution.converged = true;
-        detail::recordSolve(solution.node_solves, true, solution.sweeps);
-        return solution;
+      residualCheck(settled);
+      bool settled_unconverged = false;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if (!maskAt(settled, lane)) {
+          continue;
+        }
+        if (solutions[lane].max_residual < options.tol_current) {
+          setMaskAt(converged, lane, true);
+          solutions[lane].sweeps = sweep;
+        } else {
+          settled_unconverged = true;
+        }
       }
-      if (!reclustered) {
+      if (settled_unconverged && !reclustered) {
         // Device on/off states may have shifted since the initial guess;
-        // recluster once from the current voltages and keep sweeping.
-        clusters = buildClusters(eval, v, order);
+        // recluster once from the live lanes' current voltages and keep
+        // sweeping.
+        clusters = buildClusters(false);
         reclustered = true;
       }
     }
+    if (maskAll(maskOr(dormant, converged))) {
+      return finish();
+    }
   }
-  solution.sweeps = options.max_sweeps;
-  residualCheck();
-  detail::recordSolve(solution.node_solves, false, solution.sweeps);
+  residualCheck(maskAnd(maskNot(dormant), maskNot(converged)));
+  return finish();
+}
+
+/// One scalar (T = double) solve of `eval`, recorded when it finishes:
+/// DcSolver::solve, SolverKernel::solve and the lane fallback.
+template <typename Evaluator>
+Solution solveRecorded(const Evaluator& eval, const SolverOptions& options,
+                       const std::vector<double>& initial_guess,
+                       const std::vector<NodeId>& sweep_order,
+                       const std::vector<double>* cluster_guess = nullptr) {
+  const LaneSeed seed{&initial_guess, cluster_guess};
+  Solution solution = std::move(gaussSeidelSolve<double>(
+      eval, options, std::span<const LaneSeed>(&seed, 1), sweep_order,
+      options.max_sweeps)[0]);
+  recordSolve(solution.node_solves, solution.converged, solution.sweeps);
   return solution;
 }
 

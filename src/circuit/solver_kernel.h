@@ -9,9 +9,9 @@
 /// no per-solve incidence rebuild, no pow/log in the hot loop.
 ///
 /// Results are bit-identical to DcSolver on the same netlist, seed and
-/// sweep order: both run the identical solver_core driver, and the compiled
-/// device evaluation is bit-identical to Mosfet by contract (pinned by
-/// tests/circuit/solver_kernel_test.cpp).
+/// sweep order: both run the one solver_core driver at double, and the
+/// compiled device evaluation is bit-identical to Mosfet by contract
+/// (pinned by tests/circuit/solver_kernel_test.cpp).
 ///
 /// Re-binding: loading-current sweeps (setSource), rail/pattern changes
 /// (setFixedVoltage) and Monte-Carlo per-device variations
@@ -23,23 +23,22 @@
 /// holds - temperature, coefficients, rails, options - and differ only in
 /// the source currents and seeds their LaneRequest carries, so the kernel
 /// keeps no per-lane state. Strategy:
-///  * Lockstep sweeps - the Gauss-Seidel/cluster-Newton machinery of
-///    solver_core.h re-expressed over util::Lanes: one vectorized residual
-///    evaluation walks the CSR incidence and evaluates every lane's device
-///    currents at once (device/lane_model.h, coefficients broadcast).
+///  * Lockstep sweeps - the solver_core driver and the device templates
+///    of device/compiled_model.h at util::Lanes<kLaneWidth>: one residual
+///    evaluation walks the CSR incidence for every lane at once.
 ///  * Convergence masking - lanes that meet tolerance freeze (their
 ///    voltages stop moving and their work counters stop) while straggler
 ///    lanes keep iterating; masked blends keep frozen lanes' values exact.
 ///  * Scalar fallback - any lane the lockstep path fails to converge is
-///    re-solved from its original request through the scalar solve() path
-///    on that lane's injected currents, bit-identical to solve() with the
+///    re-solved from its original request by the double instantiation on
+///    that lane's injected currents, bit-identical to solve() with the
 ///    same source currents bound. On the width-1 scalar backend every lane
 ///    takes it, so solveLanes() is bit-exact against solve() there.
 /// Vectorized lockstep lanes agree with solve() within 1e-6 (gated by
 /// bench_solver_kernel and tests/circuit/solver_kernel_lanes_test.cpp).
+/// Both paths poll the thread's cancel token at every sweep.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -137,6 +136,7 @@ class SolverKernel {
   const SolverOptions& options() const { return options_; }
 
  private:
+  template <typename T>
   friend struct KernelEvaluator;
   static constexpr std::size_t W = kLaneWidth;
 
@@ -148,41 +148,10 @@ class SolverKernel {
     std::uint32_t terminal;  // 0 gate, 1 drain, 2 source, 3 bulk
   };
 
-  /// KCL residual at `node` with per-node injected currents `injected`.
-  double residual(const std::vector<double>& voltages, NodeId node,
-                  const std::vector<double>& injected) const;
   /// Sum of `amps` over the sources at `node`, in source order.
   double injectedAt(NodeId node, std::span<const double> amps) const;
   /// Per-node injected currents of `amps` (one current per source).
   std::vector<double> injectedFor(std::span<const double> amps) const;
-  /// The scalar driver on the compiled devices with `injected` currents.
-  Solution solveInjected(const std::vector<double>& injected,
-                         const std::vector<double>& initial_guess,
-                         const std::vector<NodeId>& sweep_order,
-                         const std::vector<double>* cluster_guess) const;
-  /// Masked lockstep Gauss-Seidel over the requested lanes. Fills
-  /// `results` and clears `pending` for lanes that converged; lanes still
-  /// pending afterwards take the scalar fallback.
-  void solveLockstep(std::span<const LaneRequest> requests,
-                     const std::vector<std::vector<double>>& injected,
-                     std::size_t sweep_budget, std::vector<Solution>& results,
-                     std::array<bool, W>& pending) const;
-
-  /// f(drain, source) for every device whose drain and source are free
-  /// and whose channel is ON at `voltages`, in device order.
-  template <typename F>
-  void forOnPairs(const std::vector<double>& voltages, F&& f) const {
-    for (std::size_t i = 0; i < coeffs_.size(); ++i) {
-      if (fixed_[drain_[i]] || fixed_[source_[i]]) {
-        continue;
-      }
-      const device::BiasPoint bias{voltages[gate_[i]], voltages[drain_[i]],
-                                   voltages[source_[i]], voltages[bulk_[i]]};
-      if (!device::compiledIsOff(coeffs_[i], bias)) {
-        f(drain_[i], source_[i]);
-      }
-    }
-  }
 
   SolverOptions options_;
 

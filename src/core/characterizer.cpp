@@ -155,8 +155,8 @@ std::vector<std::vector<VectorTable>> Characterizer::characterizeKind(
                 points[lane].warm_seed = &prev_row[j];
                 warm_grid_points.increment();
               }
-              points[lane].label = "grid point (" + std::to_string(i) +
-                                   "," + std::to_string(j) + ")";
+              points[lane].grid_row = i;
+              points[lane].grid_col = j;
             }
             std::vector<FixtureResult> results =
                 fixture.solveBatched(points);

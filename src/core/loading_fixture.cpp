@@ -155,7 +155,10 @@ std::vector<FixtureResult> LoadingFixture::solveBatched(
   results.reserve(points.size());
   for (std::size_t lane = 0; lane < points.size(); ++lane) {
     if (!solutions[lane].converged) {
-      throwNonConvergence(solutions[lane], points[lane].label);
+      throwNonConvergence(solutions[lane],
+                          "grid point (" +
+                              std::to_string(points[lane].grid_row) + "," +
+                              std::to_string(points[lane].grid_col) + ")");
     }
     results.push_back(extractResult(std::move(solutions[lane])));
   }

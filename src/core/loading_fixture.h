@@ -60,9 +60,11 @@ struct FixtureBatchPoint {
   /// Continuation seed (full node-voltage vector) or nullptr for a cold
   /// start. Same semantics as solveCompiled()'s warm_seed.
   const std::vector<double>* warm_seed = nullptr;
-  /// Human-readable scenario identity ("grid point (2,3)") included in
-  /// the ConvergenceError if this lane fails.
-  std::string label;
+  /// Loading-grid indices of this point (row: input loading, column:
+  /// output loading), named in the ConvergenceError if this lane fails
+  /// ("grid point (2,3)").
+  std::size_t grid_row = 0;
+  std::size_t grid_col = 0;  ///< See grid_row.
 };
 
 /// Reusable fixture: build once per (kind, vector), then sweep loading
@@ -104,9 +106,10 @@ class LoadingFixture {
   /// lockstep on the kernel solveCompiled() uses
   /// (SolverKernel::solveLanes). Each point carries its own loading
   /// currents and warm seed; results are returned in point order. A lane
-  /// whose solve fails raises ConvergenceError naming that point's label.
-  /// With the scalar backend (kBatchLanes == 1) this is bit-identical to
-  /// solveCompiled(); with wider backends results agree to <= 1e-6.
+  /// whose solve fails raises ConvergenceError naming that point's grid
+  /// indices. With the scalar backend (kBatchLanes == 1) this is
+  /// bit-identical to solveCompiled(); with wider backends results agree
+  /// to <= 1e-6.
   std::vector<FixtureResult> solveBatched(
       std::span<const FixtureBatchPoint> points);
 

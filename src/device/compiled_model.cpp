@@ -9,85 +9,46 @@
 namespace nanoleak::device {
 namespace {
 
-/// thresholdVoltage with the bias-independent terms folded. Mirrors
-/// DeviceParams::thresholdVoltage's summation order exactly: vth_prefix is
-/// the (vth0 + halo_shift) + roll_off prefix, then DIBL, body, temperature
-/// and variation terms are added in the original order.
-double compiledVth(const DeviceCoeffs& c, double vds, double vsb) {
-  const double dibl_shift = c.neg_dibl * std::max(0.0, vds);
-  const double body_shift =
-      c.body_gamma *
-      (std::sqrt(c.phi_s + std::max(0.0, vsb)) - c.sqrt_phi_s);
-  return c.vth_prefix + dibl_shift + body_shift + c.temp_shift + c.delta_vth;
-}
+using detail::compiledChannelCurrent, detail::compiledInversionFactor,
+    detail::compiledJunctionBtbt, detail::compiledTunnelDensity,
+    detail::compiledVth;
 
-/// tunnelDensity with the tox and temperature exponentials cached (they are
-/// the trailing factors of the original product, so substituting the cached
-/// values preserves the association order).
-double compiledTunnelDensity(const DeviceCoeffs& c, double vox) {
-  const double mag = std::abs(vox);
-  const double j = c.jg0 * mag * std::exp(c.alpha_v * (mag - 1.0)) *
-                   c.tox_factor * c.temp_factor;
-  return vox >= 0.0 ? j : -j;
-}
-
-/// channelCurrent on cached coefficients (see models.cpp for the model).
-double compiledChannelCurrent(const DeviceCoeffs& c, double vgs, double vds,
-                              double vsb) {
-  const double vth = compiledVth(c, vds, vsb);
-  const double x = (vgs - vth) / c.two_n_vt;
-  const double inv = softLog1pExp(x);
-  const double drive = inv * inv / (1.0 + c.theta_vsat * inv);
-  const double v_sat = c.n_vt + c.zeta_two_n_vt * inv;
-  const double vds_factor = 1.0 - std::exp(-vds / v_sat);
-  return c.channel_pref * drive * vds_factor * (1.0 + c.lambda * vds);
-}
-
-/// gateTunneling on cached coefficients.
+/// gateTunneling on cached coefficients, in the sorted frame.
 GateTunneling compiledGateTunneling(const DeviceCoeffs& c, double vg,
                                     double vd, double vs, double vb) {
+  const double j_s = compiledTunnelDensity(c, vg - vs);
+  const double j_d = compiledTunnelDensity(c, vg - vd);
+  const double inversion = compiledInversionFactor(c, vg, vd, vs, vb);
   GateTunneling g;
-  g.igso = c.a_ov * compiledTunnelDensity(c, vg - vs);
-  g.igdo = c.a_ov * compiledTunnelDensity(c, vg - vd);
-
-  const double vgs = vg - vs;
-  const double vds = vd - vs;
-  const double vsb = vs - vb;
-  const double vth = compiledVth(c, std::abs(vds), vsb);
-  const double inversion =
-      1.0 / (1.0 + std::exp(-(vgs - vth) / c.half_n_vt));
-  g.igcs = inversion * c.a_half * compiledTunnelDensity(c, vg - vs);
-  g.igcd = inversion * c.a_half * compiledTunnelDensity(c, vg - vd);
-
+  g.igso = c.a_ov * j_s;
+  g.igdo = c.a_ov * j_d;
+  g.igcs = inversion * c.a_half * j_s;
+  g.igcd = inversion * c.a_half * j_d;
   g.igb = c.c_gb * compiledTunnelDensity(c, vg - vb);
   return g;
-}
-
-/// junctionBtbt on cached coefficients.
-double compiledJunctionBtbt(const DeviceCoeffs& c, double vrev) {
-  const double v = softPlus(vrev, 0.01);
-  if (v < 1e-12) {
-    return 0.0;
-  }
-  const double field = std::sqrt(c.btbt_qn2 * (v + c.vbi) / kEpsSi);
-  return c.btbt_pref * (field / 1e8) * v / c.sqrt_eg *
-         std::exp(-c.b_eff / field);
 }
 
 BiasPoint mirrored(const BiasPoint& bias) {
   return BiasPoint{-bias.vg, -bias.vd, -bias.vs, -bias.vb};
 }
 
-TerminalCurrents nmosCurrents(const DeviceCoeffs& c, const BiasPoint& bias) {
-  // The physical source is whichever diffusion sits at the lower potential;
-  // evaluate in that frame and swap the results back afterwards.
-  double vd = bias.vd;
-  double vs = bias.vs;
-  const bool swapped = vd < vs;
-  if (swapped) {
-    std::swap(vd, vs);
-  }
+/// Mosfet's evaluation frame: the physical source is whichever diffusion
+/// sits at the lower potential (`swapped` when that is the drain node).
+struct SortedFrame {
+  double vd;
+  double vs;
+  bool swapped;
+};
 
+SortedFrame sortedFrame(const BiasPoint& bias) {
+  const bool swapped = bias.vd < bias.vs;
+  return swapped ? SortedFrame{bias.vs, bias.vd, true}
+                 : SortedFrame{bias.vd, bias.vs, false};
+}
+
+TerminalCurrents nmosCurrents(const DeviceCoeffs& c, const BiasPoint& bias) {
+  // Evaluate in the sorted frame and swap the results back afterwards.
+  const auto [vd, vs, swapped] = sortedFrame(bias);
   const double vgs = bias.vg - vs;
   const double vds = vd - vs;
   const double vsb = vs - bias.vb;
@@ -109,94 +70,14 @@ TerminalCurrents nmosCurrents(const DeviceCoeffs& c, const BiasPoint& bias) {
   return out;
 }
 
-/// Steep inversion logistic shared by the igcs/igcd channel components
-/// (mirrors the expression inside compiledGateTunneling exactly).
-double inversionFactor(const DeviceCoeffs& c, double vg, double vd,
-                       double vs, double vb) {
-  const double vgs = vg - vs;
-  const double vds = vd - vs;
-  const double vsb = vs - vb;
-  const double vth = compiledVth(c, std::abs(vds), vsb);
-  return 1.0 / (1.0 + std::exp(-(vgs - vth) / c.half_n_vt));
-}
-
-/// One NMOS-frame terminal current, computing only the components that
-/// terminal sums. Each component expression is the exact one
-/// compiledGateTunneling / compiledChannelCurrent / compiledJunctionBtbt
-/// evaluate, so the result is bit-identical to the corresponding member
-/// of nmosCurrents.
-double nmosTerminalCurrent(const DeviceCoeffs& c, const BiasPoint& bias,
-                           CompiledTerminal terminal) {
-  double vd = bias.vd;
-  double vs = bias.vs;
-  const bool swapped = vd < vs;
-  if (swapped) {
-    std::swap(vd, vs);
-    // nmosCurrents swaps the drain/source results back after evaluating in
-    // the sorted frame; requesting a single terminal swaps the request.
-    if (terminal == CompiledTerminal::kDrain) {
-      terminal = CompiledTerminal::kSource;
-    } else if (terminal == CompiledTerminal::kSource) {
-      terminal = CompiledTerminal::kDrain;
-    }
-  }
-
-  switch (terminal) {
-    case CompiledTerminal::kGate:
-      return compiledGateTunneling(c, bias.vg, vd, vs, bias.vb)
-          .totalFromGate();
-    case CompiledTerminal::kDrain: {
-      const double vgs = bias.vg - vs;
-      const double vds = vd - vs;
-      const double vsb = vs - bias.vb;
-      const double ids = compiledChannelCurrent(c, vgs, vds, vsb);
-      const double btbt_d = compiledJunctionBtbt(c, vd - bias.vb);
-      const double igdo = c.a_ov * compiledTunnelDensity(c, bias.vg - vd);
-      const double inversion =
-          inversionFactor(c, bias.vg, vd, vs, bias.vb);
-      const double igcd =
-          inversion * c.a_half * compiledTunnelDensity(c, bias.vg - vd);
-      return ids + btbt_d - igdo - igcd;
-    }
-    case CompiledTerminal::kSource: {
-      const double vgs = bias.vg - vs;
-      const double vds = vd - vs;
-      const double vsb = vs - bias.vb;
-      const double ids = compiledChannelCurrent(c, vgs, vds, vsb);
-      const double btbt_s = compiledJunctionBtbt(c, vs - bias.vb);
-      const double igso = c.a_ov * compiledTunnelDensity(c, bias.vg - vs);
-      const double inversion =
-          inversionFactor(c, bias.vg, vd, vs, bias.vb);
-      const double igcs =
-          inversion * c.a_half * compiledTunnelDensity(c, bias.vg - vs);
-      return -ids + btbt_s - igso - igcs;
-    }
-    case CompiledTerminal::kBulk: {
-      const double btbt_d = compiledJunctionBtbt(c, vd - bias.vb);
-      const double btbt_s = compiledJunctionBtbt(c, vs - bias.vb);
-      const double igb = c.c_gb * compiledTunnelDensity(c, bias.vg - bias.vb);
-      return -(btbt_d + btbt_s) - igb;
-    }
-  }
-  return 0.0;
-}
-
 bool nmosIsOff(const DeviceCoeffs& c, const BiasPoint& bias) {
-  double vd = bias.vd;
-  double vs = bias.vs;
-  if (vd < vs) {
-    std::swap(vd, vs);
-  }
+  const auto [vd, vs, swapped] = sortedFrame(bias);
   const double vth = compiledVth(c, vd - vs, vs - bias.vb);
   return (bias.vg - vs) < std::max(vth, kOffClassificationFloor);
 }
 
 LeakageBreakdown nmosLeakage(const DeviceCoeffs& c, const BiasPoint& bias) {
-  double vd = bias.vd;
-  double vs = bias.vs;
-  if (vd < vs) {
-    std::swap(vd, vs);
-  }
+  const auto [vd, vs, swapped] = sortedFrame(bias);
   const double vgs = bias.vg - vs;
   const double vds = vd - vs;
   const double vsb = vs - bias.vb;
@@ -273,15 +154,6 @@ TerminalCurrents compiledCurrents(const DeviceCoeffs& coeffs,
   const TerminalCurrents mirror = nmosCurrents(coeffs, mirrored(bias));
   return TerminalCurrents{-mirror.gate, -mirror.drain, -mirror.source,
                           -mirror.bulk};
-}
-
-double compiledTerminalCurrent(const DeviceCoeffs& coeffs,
-                               const BiasPoint& bias,
-                               CompiledTerminal terminal) {
-  if (!coeffs.pmos) {
-    return nmosTerminalCurrent(coeffs, bias, terminal);
-  }
-  return -nmosTerminalCurrent(coeffs, mirrored(bias), terminal);
 }
 
 LeakageBreakdown compiledLeakage(const DeviceCoeffs& coeffs,

@@ -8,9 +8,19 @@
 // per solve performs no pow/log and roughly half the exp calls of the
 // interpreted Mosfet path.
 //
+// The bias-dependent components (detail::compiledVth ...
+// detail::nmosTerminalCurrent) and compiledTerminalCurrent are written
+// once, as templates over the value type T in lane form (min/max frame
+// sort plus a sign select, the BTBT cut-off a select), calling only
+// primitives util/simd.h overloads for both types. T = double is the
+// scalar model; T = util::Lanes<W> evaluates one device at W operating
+// points at once (SolverKernel::solveLanes), coefficients broadcast.
+//
 // Bit-identity contract: compiledCurrents / compiledLeakage / compiledIsOff
-// return the EXACT same doubles as Mosfet::currents / leakage / isOff at
-// every bias. Two rules make that hold (pinned by
+// (scalar compositions of the same components) return the EXACT same
+// doubles as Mosfet::currents / leakage / isOff at every bias, and
+// compiledTerminalCurrent<double> the corresponding member of
+// compiledCurrents. Two rules make that hold (pinned by
 // tests/device/compiled_model_test.cpp):
 //  * a cached coefficient is always the value of a whole subexpression of
 //    the original model, computed by the same expression (same libm calls,
@@ -18,12 +28,19 @@
 //  * bias-dependent arithmetic keeps the original association order -
 //    cached values only ever substitute for the subtree they came from,
 //    never re-associate neighbouring factors.
+// The double primitives are the original libm calls, so the rules hold
+// for the templates at T = double. At T = Lanes<W> the same operation
+// sequence runs on util::laneExp/laneLog1p instead of libm: lanes agree
+// with the double instantiation to a few ulp, not bitwise (same test; see
+// compiledTerminalCurrent).
 #pragma once
 
 #include "device/device_params.h"
 #include "device/leakage_breakdown.h"
 #include "device/models.h"
 #include "device/mosfet.h"
+#include "util/constants.h"
+#include "util/simd.h"
 
 namespace nanoleak::device {
 
@@ -90,13 +107,151 @@ TerminalCurrents compiledCurrents(const DeviceCoeffs& coeffs,
 /// SolverKernel's CSR incidence encoding).
 enum class CompiledTerminal { kGate = 0, kDrain = 1, kSource = 2, kBulk = 3 };
 
-/// Single terminal current at `bias`: bit-identical to the corresponding
-/// member of compiledCurrents, but computes only the leakage components
-/// that terminal actually sums - the per-node residual hot path skips the
-/// channel and junction models entirely on gate-terminal incidences, etc.
-double compiledTerminalCurrent(const DeviceCoeffs& coeffs,
-                               const BiasPoint& bias,
-                               CompiledTerminal terminal);
+namespace detail {
+
+// The primitives the evaluation calls (util/simd.h: double and Lanes<W>).
+using util::laneAbs, util::laneExp, util::laneGE, util::laneLT, util::laneMax,
+    util::laneMin, util::laneSelect, util::laneSoftLog1pExp, util::laneSqrt,
+    util::maskNot;
+
+/// DeviceParams::thresholdVoltage with the bias-independent terms folded.
+/// Mirrors its summation order exactly: vth_prefix is the (vth0 +
+/// halo_shift) + roll_off prefix, then DIBL, body, temperature and
+/// variation terms are added in the original order.
+template <typename T>
+inline T compiledVth(const DeviceCoeffs& c, T vds, T vsb) {
+  const T zero(0.0);
+  const T dibl_shift = T(c.neg_dibl) * laneMax(zero, vds);
+  const T body_shift =
+      T(c.body_gamma) *
+      (laneSqrt(T(c.phi_s) + laneMax(zero, vsb)) - T(c.sqrt_phi_s));
+  return T(c.vth_prefix) + dibl_shift + body_shift + T(c.temp_shift) +
+         T(c.delta_vth);
+}
+
+/// tunnelDensity with the tox and temperature exponentials cached (the
+/// trailing factors of the original product, so the association order is
+/// kept); odd in vox via a sign select.
+template <typename T>
+inline T compiledTunnelDensity(const DeviceCoeffs& c, T vox) {
+  const T mag = laneAbs(vox);
+  const T j = T(c.jg0) * mag * laneExp(T(c.alpha_v) * (mag - T(1.0))) *
+              T(c.tox_factor) * T(c.temp_factor);
+  return laneSelect(laneGE(vox, T(0.0)), j, -j);
+}
+
+/// channelCurrent on cached coefficients (see models.cpp for the model).
+template <typename T>
+inline T compiledChannelCurrent(const DeviceCoeffs& c, T vgs, T vds, T vsb) {
+  const T one(1.0);
+  const T vth = compiledVth(c, vds, vsb);
+  const T x = (vgs - vth) / T(c.two_n_vt);
+  const T inv = laneSoftLog1pExp(x);
+  const T drive = inv * inv / (one + T(c.theta_vsat) * inv);
+  const T v_sat = T(c.n_vt) + T(c.zeta_two_n_vt) * inv;
+  const T vds_factor = one - laneExp(-vds / v_sat);
+  return T(c.channel_pref) * drive * vds_factor * (one + T(c.lambda) * vds);
+}
+
+/// Steep inversion logistic shared by the igcs/igcd channel components of
+/// gateTunneling, at sorted-frame drain `vd` and source `vs`.
+template <typename T>
+inline T compiledInversionFactor(const DeviceCoeffs& c, T vg, T vd, T vs,
+                                 T vb) {
+  const T one(1.0);
+  const T vth = compiledVth(c, laneAbs(vd - vs), vs - vb);
+  return one / (one + laneExp(-((vg - vs) - vth) / T(c.half_n_vt)));
+}
+
+/// junctionBtbt on cached coefficients; below the 1e-12 V smoothed-bias
+/// cut-off the current is selected to exactly zero.
+template <typename T>
+inline T compiledJunctionBtbt(const DeviceCoeffs& c, T vrev) {
+  const T scale(0.01);
+  const T v = scale * laneSoftLog1pExp(vrev / scale);
+  const T field = laneSqrt(T(c.btbt_qn2) * (v + T(c.vbi)) / T(kEpsSi));
+  const T current = T(c.btbt_pref) * (field / T(1e8)) * v / T(c.sqrt_eg) *
+                    laneExp(-T(c.b_eff) / field);
+  return laneSelect(laneLT(v, T(1e-12)), T(0.0), current);
+}
+
+/// One NMOS-frame terminal current, computing only the components that
+/// terminal sums. The lower diffusion is the physical source (min/max
+/// sort); the requested node's own tunneling and junction terms are used
+/// while the channel term flips sign where the sort swapped drain and
+/// source - the numbers Mosfet's swap-evaluate-swap-back produces.
+template <typename T>
+inline T nmosTerminalCurrent(const DeviceCoeffs& c,
+                             const BasicBiasPoint<T>& bias,
+                             CompiledTerminal terminal) {
+  using Mask = util::MaskOf<T>;
+  const Mask swapped = laneLT(bias.vd, bias.vs);
+  const T vd = laneMax(bias.vd, bias.vs);
+  const T vs = laneMin(bias.vd, bias.vs);
+
+  switch (terminal) {
+    case CompiledTerminal::kGate: {
+      const T j_s = compiledTunnelDensity(c, bias.vg - vs);
+      const T j_d = compiledTunnelDensity(c, bias.vg - vd);
+      const T igso = T(c.a_ov) * j_s;
+      const T igdo = T(c.a_ov) * j_d;
+      const T inversion =
+          compiledInversionFactor(c, bias.vg, vd, vs, bias.vb);
+      const T igcs = inversion * T(c.a_half) * j_s;
+      const T igcd = inversion * T(c.a_half) * j_d;
+      const T igb = T(c.c_gb) * compiledTunnelDensity(c, bias.vg - bias.vb);
+      return igso + igdo + igcs + igcd + igb;
+    }
+    case CompiledTerminal::kDrain:
+    case CompiledTerminal::kSource: {
+      // vx: the requested node's own potential, in the original frame.
+      const bool want_drain = terminal == CompiledTerminal::kDrain;
+      const T vx = want_drain ? bias.vd : bias.vs;
+      const T ids =
+          compiledChannelCurrent(c, bias.vg - vs, vd - vs, vs - bias.vb);
+      // Channel current flows into the sorted-frame drain and out of the
+      // sorted-frame source; the requested node is the sorted drain when
+      // (kDrain, unswapped) or (kSource, swapped).
+      const Mask node_is_drain = want_drain ? maskNot(swapped) : swapped;
+      const T signed_ids = laneSelect(node_is_drain, ids, -ids);
+      const T btbt = compiledJunctionBtbt(c, vx - bias.vb);
+      const T j_x = compiledTunnelDensity(c, bias.vg - vx);
+      const T inversion =
+          compiledInversionFactor(c, bias.vg, vd, vs, bias.vb);
+      return signed_ids + btbt - T(c.a_ov) * j_x -
+             inversion * T(c.a_half) * j_x;
+    }
+    case CompiledTerminal::kBulk: {
+      const T btbt_d = compiledJunctionBtbt(c, vd - bias.vb);
+      const T btbt_s = compiledJunctionBtbt(c, vs - bias.vb);
+      const T igb = T(c.c_gb) * compiledTunnelDensity(c, bias.vg - bias.vb);
+      return -(btbt_d + btbt_s) - igb;
+    }
+  }
+  return T(0.0);
+}
+
+}  // namespace detail
+
+/// Single terminal current at `bias`, computing only the leakage
+/// components that terminal actually sums - the per-node residual hot path
+/// skips the channel and junction models entirely on gate-terminal
+/// incidences, etc. At T = double (BiasPoint) it is bit-identical to the
+/// corresponding member of compiledCurrents; at T = util::Lanes<W> each
+/// lane agrees with the double evaluation of that lane's bias to a few
+/// ulp of the bias's largest terminal current (more near vd == vs, where
+/// the channel's 1 - e^(-vds/vsat) cancels). PMOS devices evaluate
+/// mirrored and negated, like Mosfet.
+template <typename T>
+inline T compiledTerminalCurrent(const DeviceCoeffs& coeffs,
+                                 const BasicBiasPoint<T>& bias,
+                                 CompiledTerminal terminal) {
+  if (!coeffs.pmos) {
+    return detail::nmosTerminalCurrent(coeffs, bias, terminal);
+  }
+  const BasicBiasPoint<T> mirrored{-bias.vg, -bias.vd, -bias.vs, -bias.vb};
+  return -detail::nmosTerminalCurrent(coeffs, mirrored, terminal);
+}
 
 /// Leakage decomposition; bit-identical to Mosfet::leakage.
 LeakageBreakdown compiledLeakage(const DeviceCoeffs& coeffs,

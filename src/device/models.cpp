@@ -4,18 +4,9 @@
 #include <cmath>
 
 #include "util/constants.h"
+#include "util/simd.h"
 
 namespace nanoleak::device {
-
-double softLog1pExp(double x) {
-  if (x > 40.0) {
-    return x;
-  }
-  if (x < -40.0) {
-    return std::exp(x);
-  }
-  return std::log1p(std::exp(x));
-}
 
 namespace {
 
@@ -34,7 +25,7 @@ double tunnelDensity(const DeviceParams& p, double tox_eff, double vox,
 }  // namespace
 
 double softPlus(double x, double scale) {
-  return scale * softLog1pExp(x / scale);
+  return scale * util::laneSoftLog1pExp(x / scale);
 }
 
 double GateTunneling::magnitude() const {
@@ -59,7 +50,7 @@ double channelCurrent(const DeviceParams& params, const DeviceVariation& var,
       params.i_spec * std::pow(t / kRoomTemperatureK, 2.0 - params.mu_tc);
 
   const double x = (vgs - vth) / (2.0 * n * vt);
-  const double inv = softLog1pExp(x);  // smooth "inversion charge"
+  const double inv = util::laneSoftLog1pExp(x);  // smooth "inversion charge"
   // Velocity saturation / mobility degradation tempers strong inversion
   // (inv >> 1) without touching the subthreshold exponential (inv << 1).
   const double drive = inv * inv / (1.0 + params.theta_vsat * inv);

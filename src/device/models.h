@@ -61,11 +61,6 @@ double junctionBtbt(const DeviceParams& params, const DeviceVariation& var,
 /// max(0,x) asymptotically). Exposed for tests.
 double softPlus(double x, double scale);
 
-/// ln(1 + e^x) evaluated without overflow. Shared by the interpreted models
-/// here and the compiled evaluation in compiled_model.h, so both paths run
-/// the exact same code (bit-identical results).
-double softLog1pExp(double x);
-
 /// OFF-classification floor [V]: a device whose Vgs is within this of its
 /// source is logically OFF even when process/temperature push Vth lower
 /// (see Mosfet::nmosIsOff for the rationale). Shared with compiled_model.

@@ -20,13 +20,19 @@ struct TerminalCurrents {
   double sum() const { return gate + drain + source + bulk; }
 };
 
-/// Absolute node potentials at the four terminals [V].
-struct BiasPoint {
-  double vg = 0.0;
-  double vd = 0.0;
-  double vs = 0.0;
-  double vb = 0.0;
+/// Absolute node potentials at the four terminals [V]. `T` is double for
+/// one operating point (BiasPoint); the compiled model also evaluates
+/// util::Lanes<W>, W operating points at once (compiled_model.h).
+template <typename T>
+struct BasicBiasPoint {
+  T vg = T(0.0);
+  T vd = T(0.0);
+  T vs = T(0.0);
+  T vb = T(0.0);
 };
+
+/// The terminal potentials of one operating point.
+using BiasPoint = BasicBiasPoint<double>;
 
 /// One transistor instance: flavour parameters, width, and per-instance
 /// process variation. PMOS devices are evaluated by mirroring all voltages

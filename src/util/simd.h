@@ -16,6 +16,13 @@
 /// width-1 lanes runs the exact scalar solver code path, so vectorized
 /// backends can be gated against it (see bench_solver_kernel).
 ///
+/// One code, two value types: the compiled device model and the
+/// Gauss-Seidel driver are templates over `T` in {double, Lanes<W>}, and
+/// every primitive they call is overloaded here for both. The `double`
+/// overloads (end of file) are the libm calls and comparisons the scalar
+/// code always made, in its argument order, with `bool` masks, so a
+/// `double` instantiation is the scalar code bit for bit.
+///
 /// Numeric contract: `laneExp` / `laneLog` / `laneLog1p` are FMA-free
 /// Cephes-style polynomial evaluations with the *same* operation sequence
 /// in the generic and AVX2 backends, accurate to a few ulp — far inside
@@ -24,10 +31,12 @@
 /// divisions) never contaminate the result.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #if defined(NANOLEAK_SIMD_AVX2)
 #include <immintrin.h>
@@ -561,5 +570,130 @@ inline Lanes<W> laneLog1p(Lanes<W> x) {
   const Lanes<W> corrected = laneLog(w) * (x / (w - one));
   return laneSelect(exact, x, corrected);
 }
+
+/// Lanewise ln(1 + e^x): the three branches of the scalar overload below
+/// as blends over one shared laneExp evaluation.
+template <std::size_t W>
+inline Lanes<W> laneSoftLog1pExp(Lanes<W> x) {
+  const Lanes<W> e = laneExp(x);
+  const Lanes<W> mid = laneLog1p(e);
+  return laneSelect(laneGT(x, Lanes<W>(40.0)), x,
+                    laneSelect(laneLT(x, Lanes<W>(-40.0)), e, mid));
+}
+
+/// Lanewise clamp into [lo, hi] (max against lo, then min against hi).
+template <std::size_t W>
+inline Lanes<W> laneClamp(Lanes<W> x, Lanes<W> lo, Lanes<W> hi) {
+  return laneMin(laneMax(x, lo), hi);
+}
+
+/// Lanewise finiteness: |x| <= DBL_MAX (false for inf and NaN).
+template <std::size_t W>
+inline LaneMask<W> laneIsFinite(Lanes<W> x) {
+  return laneLE(laneAbs(x), Lanes<W>(std::numeric_limits<double>::max()));
+}
+
+/// Reads lane `i` (free-function form shared with the double overload).
+template <std::size_t W>
+inline double laneAt(Lanes<W> x, std::size_t i) { return x[i]; }
+/// Sets lane `i` (free-function form shared with the double overload).
+template <std::size_t W>
+inline void setLaneAt(Lanes<W>& x, std::size_t i, double v) { x.setLane(i, v); }
+/// Reads mask lane `i` (free-function form shared with the bool overload).
+template <std::size_t W>
+inline bool maskAt(LaneMask<W> m, std::size_t i) { return m.lane(i); }
+/// Sets mask lane `i` (free-function form shared with the bool overload).
+template <std::size_t W>
+inline void setMaskAt(LaneMask<W>& m, std::size_t i, bool b) {
+  m.setLane(i, b);
+}
+
+// --- Value-type traits -------------------------------------------------------
+
+/// Width and mask type of a value type: `double` is one lane masked by
+/// `bool`, `Lanes<W>` W lanes masked by `LaneMask<W>`. A value-initialized
+/// mask (`Mask{}`) is false in every lane.
+template <typename T>
+struct LaneTraits;
+
+/// One lane, `bool` mask.
+template <>
+struct LaneTraits<double> {
+  static constexpr std::size_t kWidth = 1;  ///< Lanes per value.
+  using Mask = bool;                        ///< Per-lane predicate type.
+};
+
+/// W lanes, `LaneMask<W>` mask.
+template <std::size_t W>
+struct LaneTraits<Lanes<W>> {
+  static constexpr std::size_t kWidth = W;  ///< Lanes per value.
+  using Mask = LaneMask<W>;                 ///< Per-lane predicate type.
+};
+
+/// The mask type of value type T.
+template <typename T>
+using MaskOf = typename LaneTraits<T>::Mask;
+
+// --- Scalar (double) overloads: the scalar code's own calls (file comment) --
+
+/// e^x (std::exp).
+inline double laneExp(double x) { return std::exp(x); }
+
+/// ln(1 + e^x) evaluated without overflow: x itself above 40, e^x below
+/// -40, log1p(e^x) between. The interpreted device model (models.cpp)
+/// calls it too, so it and the compiled model run this exact code.
+inline double laneSoftLog1pExp(double x) {
+  if (x > 40.0) {
+    return x;
+  }
+  if (x < -40.0) {
+    return std::exp(x);
+  }
+  return std::log1p(std::exp(x));
+}
+
+/// Square root (std::sqrt).
+inline double laneSqrt(double x) { return std::sqrt(x); }
+/// Absolute value (std::abs).
+inline double laneAbs(double x) { return std::abs(x); }
+/// std::min(a, b): `b < a ? b : a`.
+inline double laneMin(double a, double b) { return std::min(a, b); }
+/// std::max(a, b): `a < b ? b : a`.
+inline double laneMax(double a, double b) { return std::max(a, b); }
+/// std::clamp(x, lo, hi).
+inline double laneClamp(double x, double lo, double hi) {
+  return std::clamp(x, lo, hi);
+}
+/// std::isfinite(x).
+inline bool laneIsFinite(double x) { return std::isfinite(x); }
+
+/// `a < b`.
+inline bool laneLT(double a, double b) { return a < b; }
+/// `a > b`.
+inline bool laneGT(double a, double b) { return a > b; }
+/// `a >= b`.
+inline bool laneGE(double a, double b) { return a >= b; }
+
+/// `m ? a : b`.
+inline double laneSelect(bool m, double a, double b) { return m ? a : b; }
+/// `a && b`.
+inline bool maskAnd(bool a, bool b) { return a && b; }
+/// `a || b`.
+inline bool maskOr(bool a, bool b) { return a || b; }
+/// `!a`.
+inline bool maskNot(bool a) { return !a; }
+/// The mask itself (its only lane).
+inline bool maskAny(bool a) { return a; }
+/// The mask itself (its only lane).
+inline bool maskAll(bool a) { return a; }
+
+/// The value itself (its only lane).
+inline double laneAt(double x, std::size_t) { return x; }
+/// Assigns the value (its only lane).
+inline void setLaneAt(double& x, std::size_t, double value) { x = value; }
+/// The mask itself (its only lane).
+inline bool maskAt(bool m, std::size_t) { return m; }
+/// Assigns the mask (its only lane).
+inline void setMaskAt(bool& m, std::size_t, bool on) { m = on; }
 
 }  // namespace nanoleak::util

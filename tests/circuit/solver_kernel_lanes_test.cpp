@@ -6,8 +6,8 @@
 // agreement is bit-for-bit; lockstep-converged lanes on a vectorized
 // backend agree within 1e-6. Randomized circuits cover all three leakage
 // flavours, two temperatures, partial batches, per-lane source currents,
-// cold starts, and a forced-divergence run that pins the fallback path to
-// scalar bit-identity.
+// cold starts, cancellation, and a forced-divergence run that pins the
+// fallback path to scalar bit-identity.
 #include "circuit/solver_kernel.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "device/device_params.h"
 #include "gates/gate_builder.h"
 #include "obs/metrics.h"
+#include "util/cancel.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -275,6 +276,23 @@ TEST(SolverKernelLanesTest, ColdSolveMatchesScalarColdSolve) {
       expectEquivalentSolutions(want, got[lane], 1e-6);
     }
   }
+}
+
+// A lane solve polls the cancel token at every sweep boundary, like a
+// scalar solve, so a serve deadline stops a batched characterization
+// mid-scan instead of after it.
+TEST(SolverKernelLanesTest, ExpiredTokenStopsLaneSolve) {
+  Rng rng(1010);
+  const device::Technology tech = device::defaultTechnology();
+  const TestCircuit tc = randomCircuit(rng, tech);
+  const SolverKernel kernel(tc.netlist, optionsFor(tech));
+  const std::vector<std::vector<double>> amps = randomAmps(rng, tc, kW);
+
+  util::CancelToken token;
+  token.cancel();
+  const util::CancelScope scope(&token);
+  EXPECT_THROW(kernel.solveLanes(seededRequests(tc, amps)),
+               util::DeadlineExceeded);
 }
 
 TEST(SolverKernelLanesTest, RejectsMalformedRequests) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "util/error.h"
 #include "util/units.h"
@@ -111,6 +112,27 @@ TEST(LoadingFixtureTest, TemperatureRebindMatchesFreshBuild) {
     EXPECT_EQ(a.leakage.btbt, b.leakage.btbt);
     EXPECT_EQ(a.voltages, b.voltages);
     EXPECT_EQ(a.pin_currents_into_net, b.pin_currents_into_net);
+  }
+}
+
+// A batched lane that cannot converge names its loading-grid point and
+// the worst node: 1 mA on every source of a NAND2 fixture pushes the
+// driven pins past anything the drivers can hold.
+TEST(LoadingFixtureTest, BatchedFailureNamesGridPoint) {
+  LoadingFixture fx(gates::GateKind::kNand2, {false, true},
+                    device::defaultTechnology());
+  FixtureBatchPoint point;
+  point.pin_loading = {1e-3, 1e-3};
+  point.output_loading = 1e-3;
+  point.grid_row = 2;
+  point.grid_col = 3;
+  try {
+    (void)fx.solveBatched(std::span<const FixtureBatchPoint>(&point, 1));
+    FAIL() << "expected ConvergenceError";
+  } catch (const ConvergenceError& e) {
+    EXPECT_STREQ(e.what(),
+                 "LoadingFixture: DC solve did not converge (NAND2, grid "
+                 "point (2,3), node pin1, |residual| = 0.000915 A)");
   }
 }
 

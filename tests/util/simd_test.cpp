@@ -25,8 +25,8 @@ void fillSequential(Lanes<W>& v, double base, double step) {
 
 template <std::size_t W>
 void checkArithmetic() {
-  Lanes<W> a;
-  Lanes<W> b;
+  Lanes<W> a(0.0);
+  Lanes<W> b(0.0);
   fillSequential(a, 1.25, 0.5);
   fillSequential(b, -2.0, 1.75);
   const Lanes<W> sum = a + b;
@@ -65,8 +65,8 @@ void checkLoadStoreRoundTrip() {
 
 template <std::size_t W>
 void checkMasksAndSelect() {
-  Lanes<W> a;
-  Lanes<W> b;
+  Lanes<W> a(0.0);
+  Lanes<W> b(0.0);
   fillSequential(a, 0.0, 1.0);
   fillSequential(b, static_cast<double>(W) - 1.0, -1.0);
   const LaneMask<W> lt = laneLT(a, b);
@@ -100,7 +100,7 @@ void checkMasksAndSelect() {
 template <std::size_t W>
 void checkLdexpFrexpRoundTrip(Rng& rng) {
   for (int rep = 0; rep < 200; ++rep) {
-    Lanes<W> x;
+    Lanes<W> x(0.0);
     for (std::size_t i = 0; i < W; ++i) {
       const double mant = rng.uniform(0.1, 10.0);
       const int scale = static_cast<int>(rng.uniformInt(601)) - 300;
@@ -122,7 +122,7 @@ void checkLdexpFrexpRoundTrip(Rng& rng) {
 template <std::size_t W>
 void checkTranscendentals(Rng& rng) {
   for (int rep = 0; rep < 500; ++rep) {
-    Lanes<W> x;
+    Lanes<W> x(0.0);
     for (std::size_t i = 0; i < W; ++i) {
       x.setLane(i, rng.uniform(-690.0, 690.0));
     }
@@ -133,7 +133,7 @@ void checkTranscendentals(Rng& rng) {
     }
   }
   for (int rep = 0; rep < 500; ++rep) {
-    Lanes<W> x;
+    Lanes<W> x(0.0);
     for (std::size_t i = 0; i < W; ++i) {
       x.setLane(i, std::ldexp(rng.uniform(0.5, 2.0),
                               static_cast<int>(rng.uniformInt(401)) - 200));
@@ -146,7 +146,7 @@ void checkTranscendentals(Rng& rng) {
     }
   }
   for (int rep = 0; rep < 500; ++rep) {
-    Lanes<W> x;
+    Lanes<W> x(0.0);
     for (std::size_t i = 0; i < W; ++i) {
       // Log-uniform over [1e-18, 1e2]: covers the tiny-x regime where
       // naive log(1+x) loses all precision.
