@@ -341,23 +341,26 @@ ObsOverhead benchObsOverhead(const device::Technology& tech,
   };
   (void)workload();  // warm up tables and allocator before timing
 
-  ObsOverhead result;
-  auto minOfRepeats = [&] {
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-      const auto t0 = Clock::now();
-      (void)workload();
-      const auto t1 = Clock::now();
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
+  auto timed = [&] {
+    const auto t0 = Clock::now();
+    (void)workload();
+    const auto t1 = Clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
   };
-  obs::disableTracing();
-  result.off_seconds = minOfRepeats();
-  // Re-enable per measurement so trace buffers are cleared between
-  // repeats instead of growing across the whole probe.
-  obs::enableTracing(obs::TraceLevel::kCoarse);
-  result.on_seconds = minOfRepeats();
+  // Each repeat times tracing off, then on, back to back, so a noise
+  // burst lands on both sides instead of deciding the gate; each side
+  // keeps its minimum over the repeats.
+  ObsOverhead result;
+  result.off_seconds = std::numeric_limits<double>::infinity();
+  result.on_seconds = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < repeats; ++r) {
+    obs::disableTracing();
+    result.off_seconds = std::min(result.off_seconds, timed());
+    // Re-enable per measurement so trace buffers are cleared between
+    // repeats instead of growing across the whole probe.
+    obs::enableTracing(obs::TraceLevel::kCoarse);
+    result.on_seconds = std::min(result.on_seconds, timed());
+  }
   obs::disableTracing();
 
   if (result.overheadPct() > 3.0) {

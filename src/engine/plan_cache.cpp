@@ -5,35 +5,9 @@
 #include <utility>
 
 #include "engine/table_cache.h"
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace nanoleak::engine {
-
-namespace {
-
-/// Process-wide mirror of the per-instance Stats (same pattern as
-/// TableCache's CacheMetrics): every PlanCache records into these
-/// registry metrics, so serve's metrics artifact shows plan reuse
-/// without holding a cache reference.
-struct PlanMetrics {
-  obs::Counter hits = obs::counter("plan_cache.hits");
-  obs::Counter misses = obs::counter("plan_cache.misses");
-  obs::Counter coalesced_hits = obs::counter("plan_cache.coalesced_hits");
-  obs::Counter coalesced_failures =
-      obs::counter("plan_cache.coalesced_failures");
-  obs::Counter evictions = obs::counter("plan_cache.evictions");
-  obs::Gauge entries = obs::gauge("plan_cache.entries");
-};
-
-const PlanMetrics& planMetrics() {
-  static const PlanMetrics m;
-  return m;
-}
-
-}  // namespace
-
-PlanCache::PlanCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
 std::string PlanCache::contentKey(
     const logic::LogicNetlist& netlist, const device::Technology& technology,
@@ -83,138 +57,12 @@ std::string PlanCache::contentKey(
 
 std::shared_ptr<const PlanCache::Entry> PlanCache::get(const std::string& key,
                                                        const Builder& build) {
-  Key map_key(key);
-
-  std::promise<std::shared_ptr<const Entry>> promise;
-  Future future;
-  bool owner = false;
-  bool joined_in_flight = false;
-  std::uint64_t token = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = slots_.find(map_key);
-    if (it != slots_.end()) {
-      it->second.last_use = ++use_tick_;
-      if (it->second.ready) {
-        ++stats_.hits;
-        planMetrics().hits.increment();
-      } else {
-        // Joining an in-flight build: hit vs failure is decided by how
-        // the owner's build resolves, so outcome counting waits for
-        // future.get(). Only the join itself is recorded now.
-        joined_in_flight = true;
-        ++stats_.coalesced_waits;
-      }
-      future = it->second.future;
-    } else {
-      ++stats_.misses;
-      planMetrics().misses.increment();
-      owner = true;
-      token = ++next_token_;
-      future = promise.get_future().share();
-      slots_.emplace(map_key,
-                     Slot{future, /*ready=*/false, token, ++use_tick_});
-      evictLocked();
-      planMetrics().entries.set(static_cast<double>(slots_.size()));
-    }
-  }
-
-  if (owner) {
-    try {
-      std::shared_ptr<const Entry> entry = build();
-      require(entry && entry->netlist && entry->library && entry->plan,
-              "PlanCache: builder must return a fully populated entry");
-      promise.set_value(std::move(entry));
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = slots_.find(map_key);
-      if (it != slots_.end() && it->second.token == token) {
-        it->second.ready = true;
-      }
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = slots_.find(map_key);
-      if (it != slots_.end() && it->second.token == token) {
-        slots_.erase(it);  // allow a later retry
-        planMetrics().entries.set(static_cast<double>(slots_.size()));
-      }
-      throw;
-    }
-  }
-  if (joined_in_flight) {
-    try {
-      std::shared_ptr<const Entry> entry = future.get();
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-      ++stats_.coalesced_hits;
-      planMetrics().hits.increment();
-      planMetrics().coalesced_hits.increment();
-      return entry;
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.coalesced_failures;
-      }
-      planMetrics().coalesced_failures.increment();
-      throw;
-    }
-  }
-  return future.get();
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
-}
-
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  slots_.clear();
-  planMetrics().entries.set(0.0);
-}
-
-void PlanCache::setMaxEntries(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = max_entries;
-  evictLocked();
-  planMetrics().entries.set(static_cast<double>(slots_.size()));
-}
-
-std::size_t PlanCache::maxEntries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_entries_;
-}
-
-void PlanCache::evictLocked() {
-  if (max_entries_ == 0) {
-    return;
-  }
-  while (slots_.size() > max_entries_) {
-    // O(n) min-scan, same rationale as TableCache::evictLocked: plan
-    // caches are tens of entries, and a min-scan sidesteps keeping list
-    // iterators valid across unordered_map rehashes.
-    auto victim = slots_.end();
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (!it->second.ready) {
-        continue;  // never evict an in-flight build
-      }
-      if (victim == slots_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim == slots_.end()) {
-      return;  // only in-flight builds left; transiently over the cap
-    }
-    slots_.erase(victim);
-    ++stats_.evictions;
-    planMetrics().evictions.increment();
-  }
+  return cache_.get(key, [&] {
+    std::shared_ptr<const Entry> entry = build();
+    require(entry && entry->netlist && entry->library && entry->plan,
+            "PlanCache: builder must return a fully populated entry");
+    return entry;
+  });
 }
 
 }  // namespace nanoleak::engine

@@ -13,11 +13,8 @@
 /// identical share an entry; the same circuit name under a different
 /// corner or option set never does.
 ///
-/// Thread-safe with the same discipline as TableCache: concurrent misses
-/// on one key run one build (the others coalesce on its shared future),
-/// entries are immutable once built and handed out as
-/// shared_ptr-to-const, and LRU capacity eviction only ever drops the
-/// cache's own reference - callers holding an entry keep it alive.
+/// Lookup, coalescing, accounting and eviction are engine::MemoCache's
+/// (memo_cache.h), mirrored into the `plan_cache.*` metrics.
 ///
 /// An Entry owns its netlist and library by unique_ptr specifically
 /// because EstimationPlan holds references into both: the heap
@@ -26,18 +23,15 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "core/characterizer.h"
 #include "core/estimation_plan.h"
 #include "core/leakage_table.h"
 #include "device/device_params.h"
+#include "engine/memo_cache.h"
 #include "logic/logic_netlist.h"
 
 namespace nanoleak::engine {
@@ -70,13 +64,13 @@ class PlanCache {
 
   /// Cache holding at most `max_entries` finished plans (0 = unbounded);
   /// see setMaxEntries() for the eviction contract.
-  explicit PlanCache(std::size_t max_entries = 0);
+  explicit PlanCache(std::size_t max_entries = 0)
+      : cache_("plan_cache", max_entries) {}
 
-  /// The entry for `key`, building it via `build` on a miss. Concurrent
-  /// callers with the same key coalesce on one build; if that build
-  /// throws, every coalesced waiter rethrows the builder's exception
-  /// (counted as coalesced_failures, never as hits) and the entry is
-  /// removed so a later call can retry. Never returns nullptr.
+  /// The entry for `key`, building it via `build` on a miss (see
+  /// MemoCache::get for coalescing and failure handling). Throws
+  /// nanoleak::Error, and keeps nothing, when the builder returns a
+  /// partially populated entry. Never returns nullptr.
   std::shared_ptr<const Entry> get(const std::string& key,
                                    const Builder& build);
 
@@ -94,92 +88,24 @@ class PlanCache {
       const core::CharacterizationOptions& characterization_options);
 
   /// Lookup counters (monotonic since construction).
-  struct Stats {
-    /// Lookups served from an existing entry (including coalesced hits).
-    std::size_t hits = 0;
-    /// Lookups that ran a build.
-    std::size_t misses = 0;
-    /// Hits that joined a build still in flight and received its entry;
-    /// subset of `hits`.
-    std::size_t coalesced_hits = 0;
-    /// Waiters that joined an in-flight build whose builder threw; they
-    /// rethrow the builder's exception and are never counted in `hits`.
-    std::size_t coalesced_failures = 0;
-    /// Lookups that joined an in-flight build, counted at join time -
-    /// before the outcome is known. Once every joined build resolves,
-    /// coalesced_waits == coalesced_hits + coalesced_failures.
-    std::size_t coalesced_waits = 0;
-    /// Finished entries dropped by LRU capacity enforcement.
-    std::size_t evictions = 0;
-  };
+  using Stats = MemoCache<Entry>::Stats;
   /// Snapshot of the lookup counters.
-  Stats stats() const;
+  Stats stats() const { return cache_.stats(); }
   /// Number of entries (including in-flight builds).
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
   /// Drops every entry; stats are kept. In-flight builds finish safely.
-  void clear();
-
-  /// Caps the entry count: whenever the cache exceeds `max_entries`, the
-  /// least-recently-used *finished* entries are dropped until it fits
-  /// (in-flight builds are never evicted, so the cache may transiently
-  /// exceed the cap while builds overlap). 0 means unbounded. Shrinking
-  /// the cap evicts immediately. Entries handed out before an eviction
-  /// stay valid - only the cache's reference is dropped.
-  void setMaxEntries(std::size_t max_entries);
+  void clear() { cache_.clear(); }
+  /// Caps the entry count (0 = unbounded): the least-recently-used
+  /// finished plans are dropped until the cache fits; in-flight builds
+  /// are never evicted. Entries handed out before an eviction stay valid.
+  void setMaxEntries(std::size_t max_entries) {
+    cache_.setMaxEntries(max_entries);
+  }
   /// The current entry cap (0 = unbounded).
-  std::size_t maxEntries() const;
+  std::size_t maxEntries() const { return cache_.maxEntries(); }
 
  private:
-  using Future = std::shared_future<std::shared_ptr<const Entry>>;
-
-  /// Key with its hash precomputed once at construction.
-  struct Key {
-    /// The full content fingerprint.
-    std::string text;
-    /// std::hash of `text`, computed once.
-    std::size_t hash;
-
-    /// Computes and stores the hash.
-    explicit Key(std::string text_in)
-        : text(std::move(text_in)), hash(std::hash<std::string>{}(text)) {}
-
-    /// Hash-first equality (the map compares full text only on hash
-    /// collisions).
-    bool operator==(const Key& other) const {
-      return hash == other.hash && text == other.text;
-    }
-  };
-  /// Reads the precomputed hash.
-  struct KeyHash {
-    /// Returns key.hash.
-    std::size_t operator()(const Key& key) const noexcept { return key.hash; }
-  };
-  /// Map slot: the (possibly still-building) shared entry plus
-  /// bookkeeping mirroring TableCache's Entry.
-  struct Slot {
-    /// Resolves to the built entry (or the builder's exception).
-    Future future;
-    /// False while the miss owner is still building; flipped under the
-    /// cache mutex once the value is ready.
-    bool ready = false;
-    /// Identifies the miss that created this slot, so an owner resumed
-    /// after clear() never marks a successor slot as ready.
-    std::uint64_t token = 0;
-    /// Monotonic recency stamp; the LRU victim is the ready slot with
-    /// the smallest stamp.
-    std::uint64_t last_use = 0;
-  };
-
-  /// Drops least-recently-used ready slots until the cache fits
-  /// max_entries_ (or only in-flight slots remain). Caller holds mutex_.
-  void evictLocked();
-
-  mutable std::mutex mutex_;
-  std::unordered_map<Key, Slot, KeyHash> slots_;
-  Stats stats_;
-  std::uint64_t next_token_ = 0;
-  std::uint64_t use_tick_ = 0;
-  std::size_t max_entries_ = 0;
+  MemoCache<Entry> cache_;
 };
 
 }  // namespace nanoleak::engine

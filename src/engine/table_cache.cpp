@@ -4,32 +4,12 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/fault.h"
 
 namespace nanoleak::engine {
 
 namespace {
-
-/// Process-wide mirror of the per-instance Stats: every TableCache
-/// instance also records into these registry metrics, so `nanoleak
-/// stats` sees cache behavior without holding a cache reference.
-struct CacheMetrics {
-  obs::Counter hits = obs::counter("table_cache.hits");
-  obs::Counter misses = obs::counter("table_cache.misses");
-  obs::Counter coalesced_hits = obs::counter("table_cache.coalesced_hits");
-  obs::Counter coalesced_failures =
-      obs::counter("table_cache.coalesced_failures");
-  obs::Counter inserts = obs::counter("table_cache.inserts");
-  obs::Counter evictions = obs::counter("table_cache.evictions");
-  obs::Gauge entries = obs::gauge("table_cache.entries");
-};
-
-const CacheMetrics& cacheMetrics() {
-  static const CacheMetrics m;
-  return m;
-}
 
 void appendFingerprint(std::ostream& out, const device::DeviceParams& p) {
   // Every numeric member participates: two corners that differ in any
@@ -48,33 +28,47 @@ void appendFingerprint(std::ostream& out, const device::DeviceParams& p) {
   out << std::defaultfloat;
 }
 
-}  // namespace
-
-TableCache::TableCache()
-    : builder_([](const device::Technology& technology, gates::GateKind kind,
-                  const core::CharacterizationOptions& options) {
-        return core::Characterizer(technology, options)
-            .characterizeKind(kind);
-      }) {}
-
-TableCache::TableCache(Builder builder) : builder_(std::move(builder)) {}
-
-std::string TableCache::technologyKey(const device::Technology& technology) {
-  std::ostringstream key;
-  key << std::hexfloat << technology.vdd << '/' << technology.temperature_k
-      << '/' << technology.unit_width_n << '/' << technology.beta_ratio
+/// technologyKey() with `temperatures` (comma-separated) in place of the
+/// technology's own temperature.
+void appendTechnology(std::ostream& key, const device::Technology& technology,
+                      const std::vector<double>& temperatures) {
+  key << std::hexfloat << technology.vdd << '/';
+  for (std::size_t t = 0; t < temperatures.size(); ++t) {
+    key << (t == 0 ? "" : ",") << temperatures[t];
+  }
+  key << '/' << technology.unit_width_n << '/' << technology.beta_ratio
       << std::defaultfloat << "|n:";
   appendFingerprint(key, technology.nmos);
   key << "|p:";
   appendFingerprint(key, technology.pmos);
+}
+
+}  // namespace
+
+TableCache::TableCache()
+    : TableCache([](const device::Technology& technology, gates::GateKind kind,
+                    const std::vector<double>& temperatures,
+                    const core::CharacterizationOptions& options) {
+        return core::Characterizer(technology, options)
+            .characterizeKind(kind, temperatures);
+      }) {}
+
+TableCache::TableCache(Builder builder)
+    : builder_(std::move(builder)), cache_("table_cache") {}
+
+std::string TableCache::technologyKey(const device::Technology& technology) {
+  std::ostringstream key;
+  appendTechnology(key, technology, {technology.temperature_k});
   return key.str();
 }
 
 std::string TableCache::cornerKey(
     const device::Technology& technology, gates::GateKind kind,
+    const std::vector<double>& temperatures,
     const core::CharacterizationOptions& options) {
   std::ostringstream key;
-  key << gates::toString(kind) << '|' << technologyKey(technology);
+  key << gates::toString(kind) << '|';
+  appendTechnology(key, technology, temperatures);
   key << "|grid:" << std::hexfloat;
   for (double amps : options.loading_grid) {
     key << amps << ',';
@@ -84,217 +78,61 @@ std::string TableCache::cornerKey(
   return key.str();
 }
 
+std::shared_ptr<const TableCache::KindAxis> TableCache::axis(
+    const device::Technology& technology, gates::GateKind kind,
+    const std::vector<double>& temperatures,
+    const core::CharacterizationOptions& options) {
+  return cache_.get(cornerKey(technology, kind, temperatures, options), [&] {
+    FAULT_POINT("table_cache.build");
+    auto tables = std::make_shared<const KindAxis>(
+        builder_(technology, kind, temperatures, options));
+    require(tables->size() == temperatures.size(),
+            "TableCache: builder must return one table set per temperature");
+    return tables;
+  });
+}
+
 std::shared_ptr<const TableCache::KindTables> TableCache::kindTables(
     const device::Technology& technology, gates::GateKind kind,
     const core::CharacterizationOptions& options) {
-  Key key(cornerKey(technology, kind, options));
-
-  std::promise<std::shared_ptr<const KindTables>> promise;
-  Future future;
-  bool owner = false;
-  bool joined_in_flight = false;
-  std::uint64_t token = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.last_use = ++use_tick_;
-      if (it->second.ready) {
-        // A finished entry cannot fail below: count the hit now.
-        ++stats_.hits;
-        cacheMetrics().hits.increment();
-      } else {
-        // Joining an in-flight miss: whether this is a coalesced hit or
-        // a coalesced failure depends on how the owner's build resolves,
-        // so outcome counting waits until future.get() below. Only the
-        // join itself is recorded now.
-        joined_in_flight = true;
-        ++stats_.coalesced_waits;
-      }
-      future = it->second.future;
-    } else {
-      ++stats_.misses;
-      cacheMetrics().misses.increment();
-      owner = true;
-      token = ++next_token_;
-      future = promise.get_future().share();
-      entries_.emplace(key, Entry{future, /*ready=*/false, token,
-                                  ++use_tick_});
-      evictLocked();
-      cacheMetrics().entries.set(static_cast<double>(entries_.size()));
-    }
-  }
-
-  if (owner) {
-    // Miss: this caller runs the characterization; concurrent callers for
-    // the same key block on the shared future below.
-    try {
-      FAULT_POINT("table_cache.build");
-      auto tables =
-          std::make_shared<const KindTables>(builder_(technology, kind,
-                                                      options));
-      promise.set_value(std::move(tables));
-      std::lock_guard<std::mutex> lock(mutex_);
-      // The entry may be gone (clear()) or replaced by a successor miss;
-      // only this owner's own entry is marked ready.
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.token == token) {
-        it->second.ready = true;
-      }
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.token == token) {
-        entries_.erase(it);  // allow a later retry
-        cacheMetrics().entries.set(static_cast<double>(entries_.size()));
-      }
-      throw;
-    }
-  }
-  if (joined_in_flight) {
-    try {
-      auto tables = future.get();
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-      ++stats_.coalesced_hits;
-      cacheMetrics().hits.increment();
-      cacheMetrics().coalesced_hits.increment();
-      return tables;
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.coalesced_failures;
-      }
-      cacheMetrics().coalesced_failures.increment();
-      throw;
-    }
-  }
-  return future.get();
-}
-
-namespace {
-
-std::string taggedKey(std::string key, const std::string& provenance) {
-  require(!provenance.empty(),
-          "TableCache: provenance tag must be non-empty (untagged keys "
-          "are reserved for builder-produced entries)");
-  return key + "|src:" + provenance;
-}
-
-}  // namespace
-
-bool TableCache::insert(const device::Technology& technology,
-                        gates::GateKind kind,
-                        const core::CharacterizationOptions& options,
-                        KindTables tables, const std::string& provenance) {
-  Key key(taggedKey(cornerKey(technology, kind, options), provenance));
-  auto value = std::make_shared<const KindTables>(std::move(tables));
-  std::promise<std::shared_ptr<const KindTables>> promise;
-  promise.set_value(std::move(value));
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.find(key) != entries_.end()) {
-    return false;
-  }
-  entries_.emplace(key, Entry{promise.get_future().share(), /*ready=*/true,
-                              ++next_token_, ++use_tick_});
-  ++stats_.inserts;
-  cacheMetrics().inserts.increment();
-  evictLocked();
-  cacheMetrics().entries.set(static_cast<double>(entries_.size()));
-  return true;
-}
-
-std::shared_ptr<const TableCache::KindTables> TableCache::tryGet(
-    const device::Technology& technology, gates::GateKind kind,
-    const core::CharacterizationOptions& options,
-    const std::string& provenance) {
-  Key key(taggedKey(cornerKey(technology, kind, options), provenance));
-  Future future;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end() || !it->second.ready) {
-      return nullptr;
-    }
-    it->second.last_use = ++use_tick_;
-    ++stats_.hits;
-    cacheMetrics().hits.increment();
-    future = it->second.future;
-  }
-  return future.get();
+  // characterizeKind(kind) is characterizeKind(kind, {T})[0], so a plain
+  // corner and a one-temperature axis are the same entry.
+  std::shared_ptr<const KindAxis> tables =
+      axis(technology, kind, {technology.temperature_k}, options);
+  return {tables, &tables->front()};
 }
 
 core::LeakageLibrary TableCache::library(
     const device::Technology& technology,
     const std::vector<gates::GateKind>& kinds,
     const core::CharacterizationOptions& options) {
+  return std::move(
+      libraries(technology, kinds, {technology.temperature_k}, options)
+          .front());
+}
+
+std::vector<core::LeakageLibrary> TableCache::libraries(
+    const device::Technology& base,
+    const std::vector<gates::GateKind>& kinds,
+    const std::vector<double>& temperatures,
+    const core::CharacterizationOptions& options) {
   core::LeakageLibrary::Meta meta;
-  meta.technology_name = technology.nmos.name + "/" + technology.pmos.name;
-  meta.vdd = technology.vdd;
-  meta.temperature_k = technology.temperature_k;
-  core::LeakageLibrary library(meta);
+  meta.technology_name = base.nmos.name + "/" + base.pmos.name;
+  meta.vdd = base.vdd;
+  std::vector<core::LeakageLibrary> out;
+  out.reserve(temperatures.size());
+  for (double temperature_k : temperatures) {
+    meta.temperature_k = temperature_k;
+    out.emplace_back(meta);
+  }
   for (gates::GateKind kind : kinds) {
-    library.insert(kind, *kindTables(technology, kind, options));
-  }
-  return library;
-}
-
-TableCache::Stats TableCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t TableCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void TableCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  cacheMetrics().entries.set(0.0);
-}
-
-void TableCache::setMaxEntries(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = max_entries;
-  evictLocked();
-  cacheMetrics().entries.set(static_cast<double>(entries_.size()));
-}
-
-std::size_t TableCache::maxEntries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_entries_;
-}
-
-void TableCache::evictLocked() {
-  if (max_entries_ == 0) {
-    return;
-  }
-  while (entries_.size() > max_entries_) {
-    // O(n) min-scan instead of an intrusive LRU list: capacities are
-    // small (tens to hundreds) and eviction only runs on inserts past
-    // the cap, so the scan is cheaper than keeping list iterators valid
-    // across unordered_map rehashes.
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (!it->second.ready) {
-        continue;  // never evict an in-flight miss
-      }
-      if (victim == entries_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
+    const std::shared_ptr<const KindAxis> tables =
+        axis(base, kind, temperatures, options);
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      out[t].insert(kind, (*tables)[t]);
     }
-    if (victim == entries_.end()) {
-      return;  // only in-flight entries left; transiently over the cap
-    }
-    entries_.erase(victim);
-    ++stats_.evictions;
-    cacheMetrics().evictions.increment();
   }
+  return out;
 }
 
 }  // namespace nanoleak::engine

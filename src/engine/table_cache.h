@@ -1,32 +1,29 @@
 /// @file
 /// Characterization cache: memoizes the expensive fixture-solve sweeps that
-/// build leakage tables, keyed by (device parameters, temperature, gate
-/// kind). Repeated corners - e.g. a temperature sweep revisiting 300 K, or
-/// many Monte-Carlo jobs on the same technology - characterize once.
+/// build leakage tables. An entry is one gate kind's tables along a
+/// temperature axis, keyed by (device parameters, temperature list, gate
+/// kind, characterization options): a plain corner lookup is the
+/// one-temperature axis, and a thermal sweep is one lookup per kind.
+/// Repeated corners - e.g. many Monte-Carlo jobs or estimation requests on
+/// the same technology, or a thermal sweep rerun on the same grid -
+/// characterize once.
 ///
-/// Thread-safe: concurrent misses on the same key run one characterization;
-/// the other callers block on its result (counted separately as
-/// Stats::coalesced_hits). Entries are immutable once built and handed out
-/// as shared_ptr-to-const, so workers may read them freely.
-///
-/// Keys are long exact fingerprints (every model parameter in hexfloat);
-/// the map is an unordered_map whose hash is computed once per lookup and
-/// stored alongside the key, so probing never re-hashes the string.
+/// Lookup, coalescing of concurrent misses, accounting and LRU eviction
+/// are engine::MemoCache's (memo_cache.h), mirrored into the
+/// `table_cache.*` metrics. Entries are immutable once built and handed
+/// out as shared_ptr-to-const, so workers may read them freely.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/characterizer.h"
 #include "core/leakage_table.h"
 #include "device/device_params.h"
+#include "engine/memo_cache.h"
 #include "gates/gate_library.h"
 
 namespace nanoleak::engine {
@@ -36,10 +33,15 @@ class TableCache {
  public:
   /// All input-vector tables of one gate kind (vectorIndex order).
   using KindTables = std::vector<core::VectorTable>;
-  /// Characterization function a miss invokes. The default runs
-  /// core::Characterizer; tests substitute a controllable builder.
-  using Builder = std::function<KindTables(
-      const device::Technology&, gates::GateKind,
+  /// One gate kind's tables at each temperature of an axis: element t
+  /// holds the KindTables at temperatures[t].
+  using KindAxis = std::vector<KindTables>;
+  /// Characterization function a miss invokes for (technology, kind,
+  /// temperatures, options); the technology's own temperature_k is not
+  /// used. The default runs core::Characterizer::characterizeKind(kind,
+  /// temperatures); tests substitute a controllable builder.
+  using Builder = std::function<KindAxis(
+      const device::Technology&, gates::GateKind, const std::vector<double>&,
       const core::CharacterizationOptions&)>;
 
   /// Cache whose misses run core::Characterizer.
@@ -48,148 +50,77 @@ class TableCache {
   explicit TableCache(Builder builder);
 
   /// Characterized tables (all input vectors) of one gate kind under one
-  /// technology corner; characterizes on miss. Only options.loading_grid,
-  /// options.store_pin_current_grids and options.solver_path affect the
-  /// result (and the key); options.kinds is ignored.
+  /// technology corner: the one-temperature axis {technology.temperature_k},
+  /// characterized on miss and returned without a copy. Only
+  /// options.loading_grid, options.store_pin_current_grids and
+  /// options.solver_path affect the result (and the key); options.kinds
+  /// is ignored.
   std::shared_ptr<const KindTables> kindTables(
       const device::Technology& technology, gates::GateKind kind,
       const core::CharacterizationOptions& options = {});
 
-  /// Whole library for a kind set, assembled from per-kind cache entries.
+  /// Whole library for a kind set at the technology's temperature,
+  /// assembled from per-kind cache entries.
   core::LeakageLibrary library(const device::Technology& technology,
                                const std::vector<gates::GateKind>& kinds,
                                const core::CharacterizationOptions& options = {});
 
-  /// Pre-seeds a corner with externally characterized tables - the
-  /// thermal sweep engine's per-temperature entries, built once per
-  /// (kind, vector) fixture and re-solved per temperature, land here so
-  /// later tryGet() calls for those corners hit instead of
-  /// re-characterizing. The mandatory non-empty `provenance` tag is
-  /// folded into the key, keeping externally produced tables (which a
-  /// cache miss could not reproduce bit-for-bit) from ever colliding
-  /// with Characterizer corners: kindTables()/library() only ever see
-  /// builder-produced entries. Returns false (leaving the existing
-  /// entry untouched) when the key is already present; throws
-  /// nanoleak::Error on an empty tag. Counted in Stats::inserts, never
-  /// in hits/misses.
-  bool insert(const device::Technology& technology, gates::GateKind kind,
-              const core::CharacterizationOptions& options,
-              KindTables tables, const std::string& provenance);
+  /// One library per temperature of `temperatures` (strictly increasing;
+  /// `base`'s own temperature_k is not used), each kind one cache entry
+  /// for the whole axis. On the kCompiledWarmStart path a kind's tables
+  /// depend on the whole list (see core::Characterizer), which the key
+  /// carries, so two different lists never share an entry. Throws
+  /// nanoleak::Error on an empty or non-increasing list and
+  /// ConvergenceError if a solve fails.
+  std::vector<core::LeakageLibrary> libraries(
+      const device::Technology& base,
+      const std::vector<gates::GateKind>& kinds,
+      const std::vector<double>& temperatures,
+      const core::CharacterizationOptions& options = {});
 
-  /// Finished tables for a tagged corner if present, else nullptr -
-  /// never runs a characterization and never blocks on an in-flight
-  /// miss. Counts a hit when it returns tables; absence is not counted
-  /// as a miss. The read side of insert(); requires the same non-empty
-  /// `provenance` the entry was inserted with.
-  std::shared_ptr<const KindTables> tryGet(
-      const device::Technology& technology, gates::GateKind kind,
-      const core::CharacterizationOptions& options,
-      const std::string& provenance);
-
-  /// Lookup and seeding counters (monotonic since construction).
-  struct Stats {
-    /// Lookups served from an existing entry.
-    std::size_t hits = 0;
-    /// Lookups that ran a characterization.
-    std::size_t misses = 0;
-    /// Hits that joined a characterization still in flight and received
-    /// its tables: the entry existed but its miss owner had not finished
-    /// building it yet, so the caller blocked on the shared future. Only
-    /// counted once that future resolves with a value - a waiter whose
-    /// miss owner threw is a coalesced_failure, not a hit. (Subset of
-    /// `hits`.)
-    std::size_t coalesced_hits = 0;
-    /// Waiters that joined an in-flight characterization whose build
-    /// threw: they blocked on the shared future and received the owner's
-    /// exception instead of tables. Never counted in `hits`.
-    std::size_t coalesced_failures = 0;
-    /// Lookups that joined an in-flight characterization, counted at
-    /// join time - before the build's outcome is known. Once every
-    /// joined build resolves, coalesced_waits == coalesced_hits +
-    /// coalesced_failures; a gap means waiters are still blocked. This
-    /// is the only counter that observes the join itself, which is what
-    /// makes coalescing tests deterministic.
-    std::size_t coalesced_waits = 0;
-    /// Entries pre-seeded through insert() (duplicates excluded).
-    std::size_t inserts = 0;
-    /// Finished entries dropped by LRU capacity enforcement (see
-    /// setMaxEntries). In-flight misses are never evicted.
-    std::size_t evictions = 0;
-  };
+  /// Lookup counters (monotonic since construction).
+  using Stats = MemoCache<KindAxis>::Stats;
   /// Snapshot of the lookup counters.
-  Stats stats() const;
-  /// Number of entries (including in-flight misses).
-  std::size_t size() const;
+  Stats stats() const { return cache_.stats(); }
+  /// Number of entries (one per kind and temperature axis, including
+  /// in-flight misses).
+  std::size_t size() const { return cache_.size(); }
   /// Drops every entry; stats are kept. In-flight misses finish safely.
-  void clear();
-
-  /// Caps the entry count: whenever the cache exceeds `max_entries`, the
-  /// least-recently-used *finished* entries are dropped until it fits
-  /// (in-flight misses are never evicted, so the cache may transiently
-  /// hold more than the cap while builds overlap). 0 (the default) means
-  /// unbounded. Shrinking the cap evicts immediately. Handed-out
-  /// shared_ptr tables stay valid after eviction - only the cache's
-  /// reference is dropped.
-  void setMaxEntries(std::size_t max_entries);
+  void clear() { cache_.clear(); }
+  /// Caps the entry count (0, the default, means unbounded): the
+  /// least-recently-used finished entries are dropped until the cache
+  /// fits; in-flight misses are never evicted. Handed-out tables stay
+  /// valid after eviction.
+  void setMaxEntries(std::size_t max_entries) {
+    cache_.setMaxEntries(max_entries);
+  }
   /// The current entry cap (0 = unbounded).
-  std::size_t maxEntries() const;
+  std::size_t maxEntries() const { return cache_.maxEntries(); }
 
-  /// Cache key of a corner: an exact textual fingerprint of every
-  /// leakage-relevant parameter (hexfloat, so distinct doubles never
-  /// collide). Exposed for tests.
+  /// Cache key of one kind's temperature axis: an exact textual
+  /// fingerprint of every leakage-relevant parameter (hexfloat, so
+  /// distinct doubles never collide), with `temperatures` in place of the
+  /// technology's own temperature. Exposed for tests.
   static std::string cornerKey(const device::Technology& technology,
                                gates::GateKind kind,
+                               const std::vector<double>& temperatures,
                                const core::CharacterizationOptions& options);
 
-  /// The technology-corner part of cornerKey(): supply rail, temperature,
+  /// The technology-corner part of a key: supply rail, temperature,
   /// sizing and every NMOS/PMOS model parameter in hexfloat - no gate
   /// kind, no characterization options. Shared with PlanCache, whose
   /// content keys must fingerprint the same corner identically.
   static std::string technologyKey(const device::Technology& technology);
 
  private:
-  using Future = std::shared_future<std::shared_ptr<const KindTables>>;
-
-  /// Key with its hash precomputed once at construction.
-  struct Key {
-    std::string text;
-    std::size_t hash;
-
-    explicit Key(std::string text_in)
-        : text(std::move(text_in)), hash(std::hash<std::string>{}(text)) {}
-
-    bool operator==(const Key& other) const {
-      return hash == other.hash && text == other.text;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept { return key.hash; }
-  };
-  struct Entry {
-    Future future;
-    /// False while the miss owner is still characterizing; flipped (under
-    /// the cache mutex) once the value is ready.
-    bool ready = false;
-    /// Identifies the miss that created this entry, so an owner resumed
-    /// after a clear() never marks a successor entry (a different,
-    /// still-building miss for the same key) as ready.
-    std::uint64_t token = 0;
-    /// Monotonic recency stamp (use_tick_ at the last touch); the LRU
-    /// eviction victim is the ready entry with the smallest stamp.
-    std::uint64_t last_use = 0;
-  };
-
-  /// Drops least-recently-used ready entries until the cache fits
-  /// max_entries_ (or only in-flight entries remain). Caller holds mutex_.
-  void evictLocked();
+  /// The cached axis of `kind` over `temperatures`, built on miss.
+  std::shared_ptr<const KindAxis> axis(
+      const device::Technology& technology, gates::GateKind kind,
+      const std::vector<double>& temperatures,
+      const core::CharacterizationOptions& options);
 
   Builder builder_;
-  mutable std::mutex mutex_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  Stats stats_;
-  std::uint64_t next_token_ = 0;
-  std::uint64_t use_tick_ = 0;
-  std::size_t max_entries_ = 0;
+  MemoCache<KindAxis> cache_;
 };
 
 }  // namespace nanoleak::engine

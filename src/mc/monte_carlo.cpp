@@ -176,11 +176,18 @@ struct MonteCarloEngine::CompiledFixtures {
     std::vector<double> cold_seed;
     std::vector<double> nominal;
 
-    One(BuiltFixture built, const circuit::SolverOptions& options)
+    /// Compiles `built` and solves its nominal operating point, or adopts
+    /// `known_nominal` when given.
+    One(BuiltFixture built, const circuit::SolverOptions& options,
+        const std::vector<double>* known_nominal)
         : netlist(std::move(built.netlist)),
           kernel(netlist, options),
           vdd_fixed(std::move(built.vdd_fixed)),
           cold_seed(std::move(built.seed)) {
+      if (known_nominal != nullptr) {
+        nominal = *known_nominal;
+        return;
+      }
       const circuit::Solution solution = kernel.solve(cold_seed);
       if (!solution.converged) {
         throwFixtureNonConvergence(netlist, solution);
@@ -217,12 +224,16 @@ struct MonteCarloEngine::CompiledFixtures {
   One with;
   One without;
 
+  /// Builds the pair, solving the nominal operating points unless both
+  /// are given.
   CompiledFixtures(const device::Technology& technology,
-                   const McFixtureConfig& config)
+                   const McFixtureConfig& config,
+                   const std::vector<double>* nominal_with,
+                   const std::vector<double>* nominal_without)
       : with(buildFixture(technology, config, /*with_loading=*/true, {}),
-             fixtureOptions(technology)),
+             fixtureOptions(technology), nominal_with),
         without(buildFixture(technology, config, /*with_loading=*/false, {}),
-                fixtureOptions(technology)) {}
+                fixtureOptions(technology), nominal_without) {}
 };
 
 MonteCarloEngine::MonteCarloEngine(device::Technology technology,
@@ -270,10 +281,23 @@ MonteCarloEngine::acquireFixtures() const {
       return fixtures;
     }
   }
-  // Pool empty: build a fresh pair (deterministic - every pair built from
-  // the same technology/config is identical, so which worker gets which
-  // pair never affects results).
-  return std::make_unique<CompiledFixtures>(technology_, config_);
+  // Pool empty: build a fresh pair. Every pair built from the same
+  // technology/config is identical, so which worker gets which pair never
+  // affects results - and only the first solves the nominal operating
+  // points; later pairs adopt them, keeping solve counts independent of
+  // how many workers found the pool empty.
+  std::unique_ptr<CompiledFixtures> fixtures;
+  std::call_once(nominal_once_, [&] {
+    fixtures = std::make_unique<CompiledFixtures>(technology_, config_,
+                                                  nullptr, nullptr);
+    nominal_with_ = fixtures->with.nominal;
+    nominal_without_ = fixtures->without.nominal;
+  });
+  if (fixtures == nullptr) {
+    fixtures = std::make_unique<CompiledFixtures>(
+        technology_, config_, &nominal_with_, &nominal_without_);
+  }
+  return fixtures;
 }
 
 void MonteCarloEngine::releaseFixtures(

@@ -99,7 +99,8 @@ class MonteCarloEngine {
 
   /// Checks a compiled fixture pair out of the pool (building one when
   /// empty) and back in; trials mutate fixture state, so each is owned by
-  /// one worker at a time.
+  /// one worker at a time. Only the first pair built solves the nominal
+  /// operating points; later pairs reuse them.
   std::unique_ptr<CompiledFixtures> acquireFixtures() const;
   void releaseFixtures(std::unique_ptr<CompiledFixtures> fixtures) const;
 
@@ -109,6 +110,9 @@ class MonteCarloEngine {
   bool use_compiled_ = true;
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<CompiledFixtures>> pool_;
+  mutable std::once_flag nominal_once_;
+  mutable std::vector<double> nominal_with_;
+  mutable std::vector<double> nominal_without_;
 };
 
 }  // namespace nanoleak::mc

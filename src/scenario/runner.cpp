@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -86,59 +85,56 @@ ScenarioResult runGolden(const Scenario& sc,
   return out;
 }
 
-ScenarioResult runEstimate(const Scenario& sc,
-                           const logic::LogicNetlist& netlist,
-                           const std::vector<std::vector<bool>>& patterns,
-                           engine::BatchRunner& runner,
-                           engine::PlanCache* plans) {
+/// The compiled (netlist, library, plan) entry for `sc`'s corner and
+/// options, looked up by content key in `plans` - or, when the caller
+/// passes none, in a call-local cache. A daemon answering from its shared
+/// cache therefore matches a one-shot `nanoleak run` byte for byte: both
+/// run the same builder on identical inputs.
+std::shared_ptr<const engine::PlanCache::Entry> compiledPlan(
+    const Scenario& sc, const logic::LogicNetlist& netlist,
+    engine::BatchRunner& runner, engine::PlanCache* plans) {
   const device::Technology tech = technologyFor(sc);
   core::CharacterizationOptions char_options;
   char_options.solver_path = sc.char_solver_path;
   core::EstimatorOptions options;
   options.with_loading = sc.with_loading;
+  engine::PlanCache local;
+  engine::PlanCache& cache = plans != nullptr ? *plans : local;
+  return cache.get(
+      engine::PlanCache::contentKey(netlist, tech, options, char_options),
+      [&] {
+        FAULT_POINT("plan_cache.build");
+        auto entry = std::make_shared<engine::PlanCache::Entry>();
+        entry->netlist = std::make_unique<const logic::LogicNetlist>(netlist);
+        entry->library = std::make_unique<const core::LeakageLibrary>(
+            runner.cache().library(
+                tech, core::estimationKinds(*entry->netlist), char_options));
+        entry->plan = std::make_unique<const core::EstimationPlan>(
+            *entry->netlist, *entry->library, options);
+        return std::shared_ptr<const engine::PlanCache::Entry>(
+            std::move(entry));
+      });
+}
 
-  // With a plan cache the compiled (netlist, library, plan) triple is a
-  // shared immutable entry looked up by content key; without one it is
-  // compiled locally as before. Both paths produce bit-identical results
-  // - the cached entry was compiled from identical inputs - so a serve
-  // daemon answering from the cache matches a one-shot `nanoleak run`
-  // byte for byte.
-  std::shared_ptr<const engine::PlanCache::Entry> cached;
-  std::optional<core::LeakageLibrary> local_library;
-  std::optional<core::EstimationPlan> local_plan;
-  const core::EstimationPlan* plan = nullptr;
-  if (plans != nullptr) {
-    const std::string key =
-        engine::PlanCache::contentKey(netlist, tech, options, char_options);
-    cached = plans->get(key, [&] {
-      FAULT_POINT("plan_cache.build");
-      auto entry = std::make_shared<engine::PlanCache::Entry>();
-      entry->netlist = std::make_unique<const logic::LogicNetlist>(netlist);
-      entry->library = std::make_unique<const core::LeakageLibrary>(
-          runner.cache().library(tech, core::estimationKinds(*entry->netlist),
-                                 char_options));
-      entry->plan = std::make_unique<const core::EstimationPlan>(
-          *entry->netlist, *entry->library, options);
-      return std::shared_ptr<const engine::PlanCache::Entry>(std::move(entry));
-    });
-    plan = cached->plan.get();
-  } else {
-    local_library.emplace(runner.cache().library(
-        tech, core::estimationKinds(netlist), char_options));
-    local_plan.emplace(netlist, *local_library, options);
-    plan = &*local_plan;
-  }
+ScenarioResult runEstimate(const Scenario& sc,
+                           const logic::LogicNetlist& netlist,
+                           const std::vector<std::vector<bool>>& patterns,
+                           engine::BatchRunner& runner,
+                           engine::PlanCache* plans) {
+  const std::shared_ptr<const engine::PlanCache::Entry> entry =
+      compiledPlan(sc, netlist, runner, plans);
+  const core::EstimationPlan& plan = *entry->plan;
 
   // Only per-pattern totals are reported, so neither method copies
   // per-gate results out of its workspaces.
   std::vector<device::LeakageBreakdown> totals;
   if (sc.method == Method::kPlanEstimate) {
-    totals = runner.runPatternTotals(*plan, patterns);
+    totals = runner.runPatternTotals(plan, patterns);
   } else {  // kDeltaWalk: sequential on one warm workspace
-    core::EstimationWorkspace ws(*plan);
+    core::EstimationWorkspace ws(plan);
     totals.reserve(patterns.size());
     for (const std::vector<bool>& pattern : patterns) {
-      totals.push_back(plan->estimateDeltaTotal(pattern, ws));
+      totals.push_back(plan.estimateDeltaTotal(pattern, ws));
     }
   }
 
@@ -221,15 +217,11 @@ ScenarioResult runThermal(const Scenario& sc,
 
 ScenarioResult runOptimize(const Scenario& sc,
                            const logic::LogicNetlist& netlist,
-                           engine::BatchRunner& runner) {
-  const device::Technology tech = technologyFor(sc);
-  core::CharacterizationOptions char_options;
-  char_options.solver_path = sc.char_solver_path;
-  core::EstimatorOptions options;
-  options.with_loading = sc.with_loading;
-  const core::LeakageLibrary library = runner.cache().library(
-      tech, core::estimationKinds(netlist), char_options);
-  const core::EstimationPlan plan(netlist, library, options);
+                           engine::BatchRunner& runner,
+                           engine::PlanCache* plans) {
+  const std::shared_ptr<const engine::PlanCache::Entry> entry =
+      compiledPlan(sc, netlist, runner, plans);
+  const core::EstimationPlan& plan = *entry->plan;
 
   search::SearchOptions sopts;
   sopts.objective = sc.optimize.objective;
@@ -310,7 +302,7 @@ ScenarioResult runScenario(const Scenario& sc, engine::BatchRunner& runner,
     if (sc.method == Method::kOptimize) {
       // The search picks its own vectors; the scenario's vector policy
       // does not apply.
-      result = runOptimize(sc, netlist, runner);
+      result = runOptimize(sc, netlist, runner, plans);
     } else {
       const std::vector<std::vector<bool>> patterns =
           expandVectors(sc.vectors, netlist.sourceNets().size());

@@ -67,17 +67,18 @@ struct RunOptions {
   /// a private cache. The serve daemon passes its shared service here so
   /// every request memoizes corners jointly.
   std::shared_ptr<engine::TableCache> table_cache = nullptr;
-  /// Compiled-plan cache; null (the default) compiles each estimate
-  /// scenario's plan locally - the historical one-shot behaviour.
+  /// Compiled-plan cache; null (the default) gives each estimate and
+  /// optimize scenario a call-local one (the one-shot behaviour).
   std::shared_ptr<engine::PlanCache> plan_cache = nullptr;
 };
 
 /// Executes one scenario on the given runner (sharing its table cache
 /// across scenarios makes repeated corners characterize once). A
 /// non-null `plans` additionally memoizes the compiled EstimationPlan of
-/// estimate-method scenarios by content key - results are bit-identical
-/// with and without it (the cached plan is compiled from the identical
-/// inputs; the cache only skips recompilation).
+/// estimate and optimize scenarios by content key - results are
+/// bit-identical with and without it (a null `plans` compiles through a
+/// call-local cache with the same builder; a shared one only skips
+/// recompilation).
 ScenarioResult runScenario(const Scenario& sc, engine::BatchRunner& runner,
                            engine::PlanCache* plans = nullptr);
 

@@ -7,12 +7,12 @@
 ///     on core::Characterizer's temperature axis (fixtures compiled once,
 ///     coefficients re-bound per temperature; on the default warm path,
 ///     solves continuation-seeded from the adjacent temperature),
-///  2. seeds the BatchRunner's TableCache with the per-temperature
-///     libraries under provenance-tagged per-temperature keys (the key
-///     fingerprints temperature, so each grid point is its own corner;
-///     the tag keeps continuation-produced tables from ever answering a
-///     plain Characterizer lookup), and reuses those entries on repeated
-///     sweeps at the same corners instead of re-characterizing,
+///  2. does so through the BatchRunner's TableCache, where each kind is
+///     one entry for the whole grid (the key carries the temperature
+///     list, since warm-path tables depend on all of it): a repeated
+///     sweep at the same corners, or a concurrent identical one on a
+///     shared cache, characterizes once, and reuse across circuits is
+///     per kind,
 ///  3. builds an EstimationPlan per temperature and estimates every input
 ///     pattern through BatchRunner::runPatternTotals (bit-identical at any
 ///     thread count),
@@ -63,19 +63,6 @@ struct ThermalGrid {
   std::vector<double> temperatures() const;
 };
 
-/// `base` with one grid temperature applied - the corner the sweep
-/// engine keys its cache entries by. It equals the technology
-/// core::Characterizer characterizes at for that temperature (the base
-/// with temperature_k replaced).
-device::Technology technologyAtTemperature(const device::Technology& base,
-                                           double temperature_k);
-
-/// Library meta fingerprint for one grid temperature of `base`, shared by
-/// the engine's characterization and cached-reuse paths so both produce
-/// identical Meta.
-core::LeakageLibrary::Meta libraryMetaAt(const device::Technology& base,
-                                         double temperature_k);
-
 /// Per-temperature libraries for one technology base, in grid order.
 struct ThermalLibrarySet {
   /// Grid temperatures [K], ascending.
@@ -100,10 +87,6 @@ struct ThermalSweepOptions {
         core::CharacterizationOptions::SolverPath::kCompiledWarmStart;
     return options;
   }();
-  /// Seed the runner's TableCache with the per-temperature libraries
-  /// (under a thermal provenance tag) so repeated sweeps at the same
-  /// corners reuse them instead of re-characterizing.
-  bool seed_cache = true;
 };
 
 /// Mean leakage decomposition of the circuit at one grid temperature.
@@ -159,19 +142,17 @@ class ThermalSweepEngine {
                    engine::BatchRunner& runner) const;
 
   /// The per-temperature libraries for an explicit kind set - the
-  /// characterization half of run(), exposed for benches and tests.
+  /// characterization half of run() on a call-local TableCache, exposed
+  /// for benches and tests.
   ThermalLibrarySet characterize(
       const std::vector<gates::GateKind>& kinds) const;
 
   /// The configuration the engine was built with.
   const ThermalSweepOptions& options() const { return options_; }
-  /// The technology base with one grid temperature applied.
-  device::Technology technologyAt(double temperature_k) const;
 
  private:
   device::Technology base_;
   ThermalSweepOptions options_;
-  core::Characterizer characterizer_;
 };
 
 }  // namespace nanoleak::thermal

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "circuit/solver_stats.h"
 #include "core/characterizer.h"
 #include "core/estimation_plan.h"
 #include "core/loading_analyzer.h"
@@ -40,9 +41,23 @@ TEST(EngineDeterminismTest, McSweepBitIdenticalAcross1And2And8Threads) {
   BatchRunner runner1(BatchOptions{.threads = 1});
   BatchRunner runner2(BatchOptions{.threads = 2});
   BatchRunner runner8(BatchOptions{.threads = 8});
-  const McBatchResult r1 = runner1.run(sweep);
-  const McBatchResult r2 = runner2.run(sweep);
-  const McBatchResult r8 = runner8.run(sweep);
+  // The work is as deterministic as the results: two nominal solves per
+  // engine, however many workers build fixture pairs, plus two per trial.
+  circuit::SolveStats work1, work2, work8;
+  const auto runCounted = [&](BatchRunner& runner, circuit::SolveStats& work) {
+    const circuit::ScopedSolveStats window;
+    McBatchResult result = runner.run(sweep);
+    work = window.delta();
+    return result;
+  };
+  const McBatchResult r1 = runCounted(runner1, work1);
+  const McBatchResult r2 = runCounted(runner2, work2);
+  const McBatchResult r8 = runCounted(runner8, work8);
+  EXPECT_EQ(work1.solves, 2 + 2 * sweep.samples);
+  for (const circuit::SolveStats* work : {&work2, &work8}) {
+    EXPECT_EQ(work->solves, work1.solves);
+    EXPECT_EQ(work->node_solves, work1.node_solves);
+  }
 
   ASSERT_EQ(r1.samples.size(), sweep.samples);
   ASSERT_EQ(r2.samples.size(), sweep.samples);

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <memory>
-#include <thread>
 
 #include "engine/table_cache.h"
 #include "logic/generators.h"
@@ -113,94 +111,6 @@ TEST(PlanCacheTest, RejectsAPartiallyPopulatedEntry) {
   const auto entry =
       cache.get("partial", [&] { return compileEntry(netlist, tech); });
   EXPECT_NE(entry->plan.get(), nullptr);
-}
-
-TEST(PlanCacheTest, ConcurrentMissesCoalesceOnOneBuild) {
-  PlanCache cache;
-  const device::Technology tech = device::defaultTechnology();
-  const logic::LogicNetlist netlist = logic::inverterChain(2);
-
-  std::promise<void> builder_entered;
-  std::promise<void> release_builder;
-  std::shared_future<void> release = release_builder.get_future().share();
-  const auto blocking_build = [&] {
-    builder_entered.set_value();
-    release.wait();
-    return compileEntry(netlist, tech);
-  };
-
-  std::thread owner([&] { cache.get("k", blocking_build); });
-  builder_entered.get_future().wait();
-  std::thread joiner([&] {
-    const auto entry = cache.get("k", blocking_build);
-    EXPECT_NE(entry->plan.get(), nullptr);
-  });
-  while (cache.stats().coalesced_waits == 0) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(cache.stats().hits, 0u);  // outcome counting is deferred
-  release_builder.set_value();
-  owner.join();
-  joiner.join();
-
-  const PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.coalesced_hits, 1u);
-  EXPECT_EQ(stats.coalesced_failures, 0u);
-}
-
-TEST(PlanCacheTest, JoinedBuildThatThrowsIsAFailureNotAHit) {
-  PlanCache cache;
-  std::promise<void> builder_entered;
-  std::promise<void> release_builder;
-  std::shared_future<void> release = release_builder.get_future().share();
-  const auto failing_build = [&]() -> std::shared_ptr<const PlanCache::Entry> {
-    builder_entered.set_value();
-    release.wait();
-    throw Error("compilation blew up");
-  };
-
-  std::thread owner([&] { EXPECT_THROW(cache.get("k", failing_build), Error); });
-  builder_entered.get_future().wait();
-  std::thread joiner(
-      [&] { EXPECT_THROW(cache.get("k", failing_build), Error); });
-  while (cache.stats().coalesced_waits == 0) {
-    std::this_thread::yield();
-  }
-  release_builder.set_value();
-  owner.join();
-  joiner.join();
-
-  const PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.coalesced_hits, 0u);
-  EXPECT_EQ(stats.coalesced_failures, 1u);
-  EXPECT_EQ(cache.size(), 0u);  // removed, so the key can be retried
-}
-
-TEST(PlanCacheTest, LruEvictionDropsTheColdestPlan) {
-  PlanCache cache(2);
-  const device::Technology tech = device::defaultTechnology();
-  const logic::LogicNetlist netlist = logic::inverterChain(2);
-  int builds = 0;
-  const auto build = [&] {
-    ++builds;
-    return compileEntry(netlist, tech);
-  };
-
-  cache.get("a", build);
-  cache.get("b", build);
-  cache.get("a", build);  // touch a
-  cache.get("c", build);  // evicts b (coldest)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  cache.get("a", build);
-  EXPECT_EQ(builds, 3);  // a survived
-  cache.get("b", build);
-  EXPECT_EQ(builds, 4);  // b was rebuilt
 }
 
 }  // namespace

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <future>
-#include <thread>
+#include <vector>
 
-#include "engine/thread_pool.h"
 #include "util/error.h"
 
 namespace nanoleak::engine {
@@ -42,20 +39,27 @@ TEST(TableCacheTest, TemperatureChangesTheKey) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(TableCacheTest, CornerKeySeparatesKindsAndDeviceParams) {
+TEST(TableCacheTest, CornerKeySeparatesKindsDeviceParamsAndTemperatures) {
   const device::Technology tech = device::defaultTechnology();
   const auto options = quickOptions();
-  const std::string inv = TableCache::cornerKey(tech, gates::GateKind::kInv,
-                                                options);
-  EXPECT_NE(inv, TableCache::cornerKey(tech, gates::GateKind::kNand2,
+  const std::vector<double> axis = {300.0, 350.0};
+  const std::string inv =
+      TableCache::cornerKey(tech, gates::GateKind::kInv, axis, options);
+  EXPECT_NE(inv, TableCache::cornerKey(tech, gates::GateKind::kNand2, axis,
                                        options));
   device::Technology perturbed = tech;
   perturbed.nmos.vth0 += 1e-12;  // tiniest parameter change -> new corner
   EXPECT_NE(inv, TableCache::cornerKey(perturbed, gates::GateKind::kInv,
+                                       axis, options));
+  // The temperature list is the key's temperature: any change to it is a
+  // new entry, and the technology's own temperature is not part of it.
+  EXPECT_NE(inv, TableCache::cornerKey(tech, gates::GateKind::kInv,
+                                       {300.0, 351.0}, options));
+  EXPECT_NE(inv, TableCache::cornerKey(tech, gates::GateKind::kInv, {300.0},
                                        options));
   device::Technology warmer = tech;
   warmer.temperature_k += 1.0;
-  EXPECT_NE(inv, TableCache::cornerKey(warmer, gates::GateKind::kInv,
+  EXPECT_EQ(inv, TableCache::cornerKey(warmer, gates::GateKind::kInv, axis,
                                        options));
 }
 
@@ -90,263 +94,79 @@ TEST(TableCacheTest, LibraryComposesCachedKinds) {
   EXPECT_EQ(cache.stats().misses, misses_before);
 }
 
-TEST(TableCacheTest, ConcurrentMissesCharacterizeOnce) {
-  TableCache cache;
-  const device::Technology tech = device::defaultTechnology();
-  const auto options = quickOptions();
-  ThreadPool pool(8);
-  std::atomic<std::size_t> total_vectors{0};
-  pool.parallelFor(16, 1, [&](std::size_t, std::size_t) {
-    const auto tables = cache.kindTables(tech, gates::GateKind::kInv,
-                                         options);
-    total_vectors.fetch_add(tables->size());
-  });
-  EXPECT_EQ(total_vectors.load(), 16u * 2u);  // INV has two vectors
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 15u);
-}
-
-TEST(TableCacheTest, InsertSeedsATaggedCornerWithoutCharacterizing) {
-  TableCache cache;
-  const device::Technology tech = device::defaultTechnology();
-  const auto options = quickOptions();
-  // Seed a recognizable (wrong-on-purpose) table so the lookup provably
-  // returns the seeded entry rather than characterizing.
-  TableCache::KindTables seeded(1);
-  seeded[0].nominal = {1.0, 2.0, 3.0};
-  ASSERT_TRUE(
-      cache.insert(tech, gates::GateKind::kInv, options, seeded, "test"));
-  EXPECT_EQ(cache.stats().inserts, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  const auto tables =
-      cache.tryGet(tech, gates::GateKind::kInv, options, "test");
-  ASSERT_NE(tables, nullptr);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  ASSERT_EQ(tables->size(), 1u);
-  EXPECT_EQ((*tables)[0].nominal.total(), 6.0);
-
-  // Duplicate insert is refused and leaves the original entry in place.
-  TableCache::KindTables other(1);
-  other[0].nominal = {9.0, 9.0, 9.0};
-  EXPECT_FALSE(
-      cache.insert(tech, gates::GateKind::kInv, options, other, "test"));
-  EXPECT_EQ(cache.stats().inserts, 1u);
-  EXPECT_EQ(cache.tryGet(tech, gates::GateKind::kInv, options, "test")
-                ->front()
-                .nominal.total(),
-            6.0);
-}
-
-TEST(TableCacheTest, ProvenanceTagIsolatesSeededEntries) {
-  TableCache cache;
-  const device::Technology tech = device::defaultTechnology();
-  const auto options = quickOptions();
-  TableCache::KindTables seeded(1);
-  seeded[0].nominal = {1.0, 2.0, 3.0};
-  ASSERT_TRUE(cache.insert(tech, gates::GateKind::kInv, options, seeded,
-                           "thermal-warm"));
-
-  // Visible under the tag; invisible (and not a miss) to other tags.
-  EXPECT_NE(
-      cache.tryGet(tech, gates::GateKind::kInv, options, "thermal-warm"),
-      nullptr);
-  EXPECT_EQ(cache.tryGet(tech, gates::GateKind::kInv, options, "other"),
-            nullptr);
-  EXPECT_EQ(cache.stats().misses, 0u);
-
-  // Untagged keys are reserved for builder-produced entries: an empty
-  // tag is rejected outright, and an untagged kindTables() at the same
-  // corner characterizes for real rather than returning seeded tables.
-  EXPECT_THROW(
-      (void)cache.insert(tech, gates::GateKind::kInv, options, seeded, ""),
-      Error);
-  EXPECT_THROW(
-      (void)cache.tryGet(tech, gates::GateKind::kInv, options, ""), Error);
-  const auto characterized =
-      cache.kindTables(tech, gates::GateKind::kInv, options);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_NE(characterized->front().nominal.total(), 6.0);
-}
-
 TEST(TableCacheTest, SolverPathChangesTheKey) {
   const device::Technology tech = device::defaultTechnology();
   auto options = quickOptions();
   const std::string warm =
-      TableCache::cornerKey(tech, gates::GateKind::kInv, options);
+      TableCache::cornerKey(tech, gates::GateKind::kInv, {300.0}, options);
   options.solver_path = core::CharacterizationOptions::SolverPath::kLegacy;
-  EXPECT_NE(warm,
-            TableCache::cornerKey(tech, gates::GateKind::kInv, options));
+  EXPECT_NE(warm, TableCache::cornerKey(tech, gates::GateKind::kInv, {300.0},
+                                        options));
 }
 
-TEST(TableCacheTest, CountsHitsThatJoinAnInFlightMiss) {
-  // A controllable builder blocks the miss owner until the test has
-  // issued a concurrent lookup for the same key, making "hit joined an
-  // in-flight characterization" deterministic.
-  std::promise<void> builder_entered;
-  std::promise<void> release_builder;
-  std::shared_future<void> release = release_builder.get_future().share();
-  TableCache cache([&](const device::Technology&, gates::GateKind,
-                       const core::CharacterizationOptions&) {
-    builder_entered.set_value();
-    release.wait();
-    return TableCache::KindTables{core::VectorTable{}};
-  });
-
+TEST(TableCacheTest, OneTemperatureAxisIsThePlainCorner) {
+  // characterizeKind(kind) is characterizeKind(kind, {T})[0], so a
+  // one-temperature axis and a plain lookup are one entry.
+  TableCache cache;
   const device::Technology tech = device::defaultTechnology();
   const auto options = quickOptions();
-  std::thread owner([&] {
-    cache.kindTables(tech, gates::GateKind::kInv, options);
-  });
-  builder_entered.get_future().wait();
-
-  // The miss is now provably in flight.
-  std::thread joiner([&] {
-    const auto tables = cache.kindTables(tech, gates::GateKind::kInv,
-                                         options);
-    EXPECT_EQ(tables->size(), 1u);
-  });
-  // The join is counted the moment the waiter blocks on the shared
-  // future; the hit itself is deferred until the build resolves, so a
-  // successful-resolution count observed here would deadlock.
-  while (cache.stats().coalesced_waits == 0) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(cache.stats().hits, 0u);  // outcome not yet known
-  release_builder.set_value();
-  owner.join();
-  joiner.join();
-
-  TableCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.coalesced_hits, 1u);
-  EXPECT_EQ(stats.coalesced_waits, 1u);
-  EXPECT_EQ(stats.coalesced_failures, 0u);
-
-  // A lookup after completion is a plain (non-coalesced) hit.
-  cache.kindTables(tech, gates::GateKind::kInv, options);
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.coalesced_hits, 1u);
-  EXPECT_EQ(stats.coalesced_waits, 1u);
-}
-
-TEST(TableCacheTest, JoinedBuildThatThrowsIsAFailureNotAHit) {
-  // The bug this pins down: a waiter joining an in-flight miss used to
-  // count coalesced_hits at join time - before the build's outcome was
-  // known - so a failed characterization still inflated the hit
-  // counters. The count must follow the future's resolution.
-  std::promise<void> builder_entered;
-  std::promise<void> release_builder;
-  std::shared_future<void> release = release_builder.get_future().share();
-  TableCache cache([&](const device::Technology&, gates::GateKind,
-                       const core::CharacterizationOptions&)
-                       -> TableCache::KindTables {
-    builder_entered.set_value();
-    release.wait();
-    throw Error("characterization blew up");
-  });
-
-  const device::Technology tech = device::defaultTechnology();
-  const auto options = quickOptions();
-  std::thread owner([&] {
-    EXPECT_THROW(cache.kindTables(tech, gates::GateKind::kInv, options),
-                 Error);
-  });
-  builder_entered.get_future().wait();
-
-  std::thread joiner([&] {
-    EXPECT_THROW(cache.kindTables(tech, gates::GateKind::kInv, options),
-                 Error);
-  });
-  // Deterministic: the joiner has provably joined the in-flight build
-  // (coalesced_waits counts at join time) before the failure resolves.
-  while (cache.stats().coalesced_waits == 0) {
-    std::this_thread::yield();
-  }
-  release_builder.set_value();
-  owner.join();
-  joiner.join();
-
-  const TableCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.coalesced_hits, 0u);
-  EXPECT_EQ(stats.coalesced_waits, 1u);
-  EXPECT_EQ(stats.coalesced_failures, 1u);
-  // The failed entry was removed, so the corner can be retried.
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(TableCacheTest, LruEvictionDropsTheColdestEntry) {
-  int builds = 0;
-  TableCache cache([&](const device::Technology&, gates::GateKind,
-                       const core::CharacterizationOptions&) {
-    ++builds;
-    return TableCache::KindTables{core::VectorTable{}};
-  });
-  cache.setMaxEntries(2);
-
-  const auto options = quickOptions();
-  device::Technology tech = device::defaultTechnology();
-  tech.temperature_k = 300.0;
-  cache.kindTables(tech, gates::GateKind::kInv, options);  // A
-  tech.temperature_k = 310.0;
-  cache.kindTables(tech, gates::GateKind::kInv, options);  // B
-  tech.temperature_k = 300.0;
-  cache.kindTables(tech, gates::GateKind::kInv, options);  // touch A
-  tech.temperature_k = 320.0;
-  cache.kindTables(tech, gates::GateKind::kInv, options);  // C evicts B
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // A (recently touched) survived; B (coldest) was the victim.
-  tech.temperature_k = 300.0;
-  cache.kindTables(tech, gates::GateKind::kInv, options);
-  EXPECT_EQ(builds, 3);
-  tech.temperature_k = 310.0;
-  cache.kindTables(tech, gates::GateKind::kInv, options);
-  EXPECT_EQ(builds, 4);  // B re-characterized
-}
-
-TEST(TableCacheTest, InFlightEntriesAreNeverEvicted) {
-  std::promise<void> builder_entered;
-  std::promise<void> release_builder;
-  std::shared_future<void> release = release_builder.get_future().share();
-  std::atomic<bool> first_build{true};
-  TableCache cache([&](const device::Technology&, gates::GateKind,
-                       const core::CharacterizationOptions&) {
-    if (first_build.exchange(false)) {
-      builder_entered.set_value();
-      release.wait();
-    }
-    return TableCache::KindTables{core::VectorTable{}};
-  });
-  cache.setMaxEntries(1);
-
-  const auto options = quickOptions();
-  device::Technology tech = device::defaultTechnology();
-  std::thread slow([&] {
-    cache.kindTables(tech, gates::GateKind::kInv, options);
-  });
-  builder_entered.get_future().wait();
-
-  // A second corner lands while the first is still building: the cap of
-  // one may only be enforced against finished entries, so the in-flight
-  // build survives and the cache transiently holds both.
-  device::Technology warmer = tech;
-  warmer.temperature_k += 10.0;
-  cache.kindTables(warmer, gates::GateKind::kInv, options);
-  EXPECT_EQ(cache.size(), 2u);
-
-  release_builder.set_value();
-  slow.join();
-  // The finished first entry re-arms eviction on the next insert; the
-  // shrink path via setMaxEntries also fits now that both are ready.
-  cache.setMaxEntries(1);
+  const std::vector<core::LeakageLibrary> axis = cache.libraries(
+      tech, {gates::GateKind::kInv}, {tech.temperature_k}, options);
+  const auto plain = cache.kindTables(tech, gates::GateKind::kInv, options);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.size(), 1u);
+  ASSERT_EQ(axis.size(), 1u);
+  ASSERT_EQ(plain->size(), axis[0].tables(gates::GateKind::kInv).size());
+  for (std::size_t v = 0; v < plain->size(); ++v) {
+    EXPECT_EQ((*plain)[v].nominal.total(),
+              axis[0].table(gates::GateKind::kInv, v).nominal.total());
+  }
+}
+
+TEST(TableCacheTest, LibrariesCacheOneEntryPerKindAxis) {
+  TableCache cache;
+  device::Technology base = device::defaultTechnology();
+  base.temperature_k = 1.0;  // ignored: the temperature list governs
+  const auto options = quickOptions();
+  const std::vector<double> temps = {250.0, 300.0, 350.0};
+  const std::vector<gates::GateKind> kinds = {gates::GateKind::kInv,
+                                              gates::GateKind::kNand2};
+  const std::vector<core::LeakageLibrary> libraries =
+      cache.libraries(base, kinds, temps, options);
+  EXPECT_EQ(cache.stats().misses, kinds.size());
+  EXPECT_EQ(cache.size(), kinds.size());
+  ASSERT_EQ(libraries.size(), temps.size());
+  for (std::size_t t = 0; t < temps.size(); ++t) {
+    EXPECT_EQ(libraries[t].meta().temperature_k, temps[t]);
+    EXPECT_EQ(libraries[t].meta().vdd, base.vdd);
+  }
+  for (gates::GateKind kind : kinds) {
+    const auto direct =
+        core::Characterizer(base, options).characterizeKind(kind, temps);
+    for (std::size_t t = 0; t < temps.size(); ++t) {
+      for (std::size_t v = 0; v < direct[t].size(); ++v) {
+        EXPECT_EQ(libraries[t].table(kind, v).nominal.total(),
+                  direct[t][v].nominal.total());
+      }
+    }
+  }
+  // The same axis again only hits.
+  (void)cache.libraries(base, kinds, temps, options);
+  EXPECT_EQ(cache.stats().misses, kinds.size());
+  EXPECT_EQ(cache.stats().hits, kinds.size());
+}
+
+TEST(TableCacheTest, RejectsABuilderThatMissesATemperature) {
+  TableCache cache([](const device::Technology&, gates::GateKind,
+                      const std::vector<double>&,
+                      const core::CharacterizationOptions&) {
+    return TableCache::KindAxis{};  // no tables for the one temperature
+  });
+  EXPECT_THROW((void)cache.kindTables(device::defaultTechnology(),
+                                      gates::GateKind::kInv, quickOptions()),
+               Error);
+  EXPECT_EQ(cache.size(), 0u);  // erased, so the corner can be retried
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/solver_stats.h"
 #include "core/estimation_plan.h"
+#include "obs/metrics.h"
 #include "scenario/cli.h"
 #include "scenario/golden_file.h"
 #include "scenario/registry.h"
@@ -125,7 +129,16 @@ TEST(ThermalSweepEngineTest, CurveIsMonotonicForSubthresholdFlavour) {
             2.0 * curve.subthreshold.exponential.error.max_rel);
 }
 
-TEST(ThermalSweepEngineTest, SeedsTheTableCachePerTemperature) {
+void expectSameCurve(const ThermalCurve& a, const ThermalCurve& b) {
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_EQ(a.points[i].mean.subthreshold, b.points[i].mean.subthreshold);
+    EXPECT_EQ(a.points[i].mean.gate, b.points[i].mean.gate);
+    EXPECT_EQ(a.points[i].mean.btbt, b.points[i].mean.btbt);
+  }
+}
+
+TEST(ThermalSweepEngineTest, CachesOneAxisEntryPerKind) {
   const ThermalSweepEngine engine(device::defaultTechnology(),
                                   quickSweepOptions());
   engine::BatchRunner runner;
@@ -134,35 +147,55 @@ TEST(ThermalSweepEngineTest, SeedsTheTableCachePerTemperature) {
   const ThermalCurve first =
       engine.run(netlist, patternsFor(netlist, 4), runner);
 
-  // One insert per (temperature, kind); no characterization ran through
-  // the cache itself.
-  const engine::TableCache::Stats stats = runner.cache().stats();
-  EXPECT_EQ(stats.inserts, 4u * kinds.size());
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(runner.cache().size(), 4u * kinds.size());
-
-  // The seeded entries NEVER answer a plain Characterizer lookup:
-  // continuation-produced tables are not bit-identical to what a cache
-  // miss would compute, so an untagged library() at the same corner
-  // must miss and characterize for real.
-  const device::Technology tech = engine.technologyAt(253.0);
-  (void)runner.cache().library(tech, kinds, quickOptions());
+  // One entry per kind holds the whole grid.
   EXPECT_EQ(runner.cache().stats().misses, kinds.size());
+  EXPECT_EQ(runner.cache().size(), kinds.size());
 
-  // Running the same sweep again reuses the seeded entries bit-for-bit
-  // instead of re-characterizing (node solves only come from the
-  // untagged characterization above).
+  // Running the same sweep again reuses those entries bit-for-bit
+  // instead of re-characterizing.
   const circuit::SolveStats before = circuit::solveStats();
   const ThermalCurve second =
       engine.run(netlist, patternsFor(netlist, 4), runner);
   EXPECT_EQ(circuit::solveStats().node_solves, before.node_solves);
-  EXPECT_EQ(runner.cache().stats().inserts, 4u * kinds.size());
-  ASSERT_EQ(second.points.size(), first.points.size());
-  for (std::size_t i = 0; i < first.points.size(); ++i) {
-    EXPECT_EQ(first.points[i].mean.subthreshold,
-              second.points[i].mean.subthreshold);
-    EXPECT_EQ(first.points[i].mean.total(), second.points[i].mean.total());
-  }
+  EXPECT_EQ(runner.cache().stats().hits, kinds.size());
+  expectSameCurve(first, second);
+
+  // A plain lookup at a grid temperature, under the sweep's own options,
+  // is a different entry: warm-path tables depend on the whole grid.
+  device::Technology at_grid_point = device::defaultTechnology();
+  at_grid_point.temperature_k = 253.0;
+  (void)runner.cache().library(at_grid_point, kinds,
+                               engine.options().characterization);
+  EXPECT_EQ(runner.cache().stats().misses, 2 * kinds.size());
+}
+
+TEST(ThermalSweepEngineTest, ConcurrentIdenticalSweepsCharacterizeOnce) {
+  // Two runners on one shared cache - the daemon's layout - running the
+  // same sweep at once share one characterization per kind.
+  const ThermalSweepEngine engine(device::defaultTechnology(),
+                                  quickSweepOptions());
+  const logic::LogicNetlist netlist = scenario::buildCircuit("c17");
+  const std::vector<std::vector<bool>> patterns = patternsFor(netlist, 4);
+  const std::size_t kind_count = core::estimationKinds(netlist).size();
+  auto shared = std::make_shared<engine::TableCache>();
+  engine::BatchRunner runner_a(engine::BatchOptions{.threads = 1,
+                                                    .cache = shared});
+  engine::BatchRunner runner_b(engine::BatchOptions{.threads = 1,
+                                                    .cache = shared});
+
+  const std::uint64_t before = obs::counterValue("char.kinds_characterized");
+  ThermalCurve a;
+  ThermalCurve b;
+  std::thread thread_a([&] { a = engine.run(netlist, patterns, runner_a); });
+  std::thread thread_b([&] { b = engine.run(netlist, patterns, runner_b); });
+  thread_a.join();
+  thread_b.join();
+
+  EXPECT_EQ(obs::counterValue("char.kinds_characterized") - before,
+            kind_count);
+  EXPECT_EQ(shared->stats().misses, kind_count);
+  EXPECT_EQ(shared->stats().hits, kind_count);
+  expectSameCurve(a, b);
 }
 
 TEST(ThermalSweepEngineTest, DifferentGridsNeverAliasCachedEntries) {
