@@ -331,35 +331,53 @@ ObsOverhead benchObsOverhead(const device::Technology& tech,
   for (std::size_t i = 0; i < vectors; ++i) {
     patterns.push_back(logic::randomPattern(sim.sourceCount(), rng));
   }
-  auto workload = [&] {
+  {
+    // Warm up tables and allocator before timing.
     core::GoldenSolver solver(netlist, tech);
-    double sum = 0.0;
     for (const auto& pattern : patterns) {
-      sum += solver.solve(pattern).total.total();
+      (void)solver.solve(pattern);
     }
-    return sum;
-  };
-  (void)workload();  // warm up tables and allocator before timing
+  }
 
-  auto timed = [&] {
+  const auto timedSolve = [](core::GoldenSolver& solver,
+                             const std::vector<bool>& pattern) {
     const auto t0 = Clock::now();
-    (void)workload();
-    const auto t1 = Clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
+    (void)solver.solve(pattern);
+    return std::chrono::duration<double>(Clock::now() - t0).count();
   };
-  // Each repeat times tracing off, then on, back to back, so a noise
-  // burst lands on both sides instead of deciding the gate; each side
-  // keeps its minimum over the repeats.
+  // Each repeat runs the pattern set on two solvers, one with tracing off
+  // and one with coarse tracing on, taking turns per pattern (which side
+  // goes first alternates too), and sums each side's solve times.
+  // Stretches of fast or slow machine, which on a shared VM last longer
+  // than a whole repeat, so land on both sides alike instead of deciding
+  // the gate. Both solvers solve the same sequence, and they swap sides
+  // every repeat, so a memory layout that favours one favours both sides.
+  // Each side keeps its minimum over the repeats.
+  core::GoldenSolver solvers[2] = {core::GoldenSolver(netlist, tech),
+                                   core::GoldenSolver(netlist, tech)};
   ObsOverhead result;
   result.off_seconds = std::numeric_limits<double>::infinity();
   result.on_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
-    obs::disableTracing();
-    result.off_seconds = std::min(result.off_seconds, timed());
-    // Re-enable per measurement so trace buffers are cleared between
-    // repeats instead of growing across the whole probe.
-    obs::enableTracing(obs::TraceLevel::kCoarse);
-    result.on_seconds = std::min(result.on_seconds, timed());
+    core::GoldenSolver& off_solver = solvers[r % 2];
+    core::GoldenSolver& on_solver = solvers[1 - r % 2];
+    double off = 0.0;
+    double on = 0.0;
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      for (int turn = 0; turn < 2; ++turn) {
+        if ((turn == 0) == (i % 2 == 0)) {
+          obs::disableTracing();
+          off += timedSolve(off_solver, patterns[i]);
+        } else {
+          // A fresh session per traced solve keeps the trace buffers from
+          // growing across the probe.
+          obs::enableTracing(obs::TraceLevel::kCoarse);
+          on += timedSolve(on_solver, patterns[i]);
+        }
+      }
+    }
+    result.off_seconds = std::min(result.off_seconds, off);
+    result.on_seconds = std::min(result.on_seconds, on);
   }
   obs::disableTracing();
 
@@ -483,7 +501,7 @@ int main(int argc, char** argv) {
   // 4. Observability overhead (opt-in: timing probes add bench time).
   ObsOverhead obs;
   if (obs_overhead) {
-    obs = benchObsOverhead(tech, quick ? 30 : 100, quick ? 7 : 9, failures);
+    obs = benchObsOverhead(tech, /*vectors=*/100, /*repeats=*/61, failures);
     nanoleak::bench::banner("Observability overhead (warm golden re-solves)");
     TableWriter table({"tracing", "wall [s] (min of repeats)"});
     table.addRow({"off", formatDouble(obs.off_seconds, 4)});

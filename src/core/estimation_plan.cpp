@@ -1,6 +1,9 @@
 #include "core/estimation_plan.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 
@@ -60,6 +63,12 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
       simulator_(netlist) {
   require(options_.propagation_iterations >= 1,
           "EstimationPlan: propagation_iterations must be >= 1");
+  std::size_t pin_count = 0;
+  for (const logic::Gate& gate : netlist_.gates()) {
+    pin_count += gate.inputs.size();
+  }
+  require(std::max({gate_count_, net_count_, pin_count}) < kNoDriver,
+          "EstimationPlan: netlist exceeds 32-bit indices");
   for (const logic::Gate& gate : netlist_.gates()) {
     if (!library_.has(gate.kind)) {
       throwError(std::string("EstimationPlan: library missing tables for ") +
@@ -70,46 +79,49 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
   if (has_dffs_) {
     require(library_.has(gates::GateKind::kInv),
             "EstimationPlan: INV tables required for DFF boundary model");
-    dff_inv_table_[0] = &library_.table(gates::GateKind::kInv, 0);
-    dff_inv_table_[1] = &library_.table(gates::GateKind::kInv, 1);
+    for (std::size_t level = 0; level < 2; ++level) {
+      const VectorTable& inv = library_.table(gates::GateKind::kInv, level);
+      require(inv.pin_current.size() == 1,
+              "EstimationPlan: INV table needs one pin current");
+      dff_pin_current_[level] = inv.pin_current[0];
+    }
     dff_load_count_.resize(net_count_);
     for (NetId net = 0; net < net_count_; ++net) {
       dff_load_count_[net] = netlist_.dffLoadCount(net);
     }
   }
 
-  // CSR gate inputs + per-(gate, vector) table pointers.
+  // CSR gate inputs + per-gate table blocks.
   pin_offset_.assign(gate_count_ + 1, 0);
-  table_offset_.assign(gate_count_ + 1, 0);
   gate_output_.resize(gate_count_);
+  gate_block_.resize(gate_count_);
+  std::map<gates::GateKind, std::uint32_t> kind_block;
   for (GateId g = 0; g < gate_count_; ++g) {
     const logic::Gate& gate = netlist_.gate(g);
-    pin_offset_[g + 1] = pin_offset_[g] + gate.inputs.size();
-    table_offset_[g + 1] =
-        table_offset_[g] + (std::size_t{1} << gate.inputs.size());
-    gate_output_[g] = gate.output;
+    pin_offset_[g + 1] =
+        pin_offset_[g] + static_cast<Index>(gate.inputs.size());
+    gate_output_[g] = static_cast<Index>(gate.output);
+    auto it = kind_block.find(gate.kind);
+    if (it == kind_block.end()) {
+      it = kind_block
+               .emplace(gate.kind,
+                        appendKindTables(gate.kind, gate.inputs.size()))
+               .first;
+    }
+    gate_block_[g] = it->second;
   }
   pin_net_.resize(pin_offset_[gate_count_]);
   pin_loadable_.resize(pin_offset_[gate_count_]);
-  table_.resize(table_offset_[gate_count_]);
   for (GateId g = 0; g < gate_count_; ++g) {
     const logic::Gate& gate = netlist_.gate(g);
     for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
       const NetId net = gate.inputs[pin];
-      pin_net_[pin_offset_[g] + pin] = net;
+      pin_net_[pin_offset_[g] + pin] = static_cast<Index>(net);
       // Primary-input nets are ideally driven: loading on them cannot
       // shift the pin voltage (matches the golden model, which binds PI
       // nets to rails).
       pin_loadable_[pin_offset_[g] + pin] =
           netlist_.driverKind(net) != DriverKind::kPrimaryInput;
-    }
-    const std::vector<VectorTable>& tables = library_.tables(gate.kind);
-    if (tables.size() != (std::size_t{1} << gate.inputs.size())) {
-      throwError(std::string("EstimationPlan: table count mismatch for ") +
-                 gates::toString(gate.kind));
-    }
-    for (std::size_t vec = 0; vec < tables.size(); ++vec) {
-      table_[table_offset_[g] + vec] = &tables[vec];
     }
   }
 
@@ -117,10 +129,10 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
   fanout_offset_.assign(net_count_ + 1, 0);
   net_driver_gate_.assign(net_count_, kNoDriver);
   for (NetId net = 0; net < net_count_; ++net) {
-    fanout_offset_[net + 1] =
-        fanout_offset_[net] + netlist_.fanout(net).size();
+    fanout_offset_[net + 1] = fanout_offset_[net] +
+                              static_cast<Index>(netlist_.fanout(net).size());
     if (netlist_.driverKind(net) == DriverKind::kGate) {
-      net_driver_gate_[net] = netlist_.driverGate(net);
+      net_driver_gate_[net] = static_cast<Index>(netlist_.driverGate(net));
     }
   }
   fanout_slot_.resize(fanout_offset_[net_count_]);
@@ -128,11 +140,69 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
   for (NetId net = 0; net < net_count_; ++net) {
     std::size_t k = fanout_offset_[net];
     for (const logic::PinRef& pin : netlist_.fanout(net)) {
-      fanout_slot_[k] = pin_offset_[pin.gate] + static_cast<std::size_t>(pin.pin);
-      fanout_gate_[k] = pin.gate;
+      fanout_slot_[k] = pin_offset_[pin.gate] + static_cast<Index>(pin.pin);
+      fanout_gate_[k] = static_cast<Index>(pin.gate);
       ++k;
     }
   }
+}
+
+std::uint32_t EstimationPlan::appendKindTables(gates::GateKind kind,
+                                               std::size_t pins) {
+  const std::vector<VectorTable>& tables = library_.tables(kind);
+  if (tables.size() != (std::size_t{1} << pins)) {
+    throwError(std::string("EstimationPlan: table count mismatch for ") +
+               gates::toString(kind));
+  }
+  const auto first = static_cast<std::uint32_t>(blocks_.size());
+  for (const VectorTable& table : tables) {
+    const std::size_t rows = table.il_axis.size();
+    const std::size_t cols = table.ol_axis.size();
+    const auto shaped = [&](const Grid2D& grid) {
+      return grid.rows() == rows && grid.cols() == cols;
+    };
+    bool well_formed = table.pin_current.size() == pins &&
+                       table.pin_current_grid.size() <= pins &&
+                       shaped(table.subthreshold) && shaped(table.gate) &&
+                       shaped(table.btbt);
+    for (const Grid2D& grid : table.pin_current_grid) {
+      well_formed = well_formed && shaped(grid);
+    }
+    if (!well_formed) {
+      throwError(std::string("EstimationPlan: malformed table for ") +
+                 gates::toString(kind));
+    }
+    require(rows <= std::numeric_limits<std::uint16_t>::max() &&
+                cols <= std::numeric_limits<std::uint16_t>::max(),
+            "EstimationPlan: loading axis too long");
+    const TableBlock block{static_cast<std::uint32_t>(arena_.size()),
+                           static_cast<std::uint16_t>(rows),
+                           static_cast<std::uint16_t>(cols),
+                           static_cast<std::uint16_t>(pins),
+                           static_cast<std::uint16_t>(
+                               table.pin_current_grid.size())};
+    require(block.end() <= std::numeric_limits<std::uint32_t>::max(),
+            "EstimationPlan: table arena exceeds 32-bit offsets");
+    arena_.push_back(table.isolated_nominal.subthreshold);
+    arena_.push_back(table.isolated_nominal.gate);
+    arena_.push_back(table.isolated_nominal.btbt);
+    arena_.insert(arena_.end(), table.pin_current.begin(),
+                  table.pin_current.end());
+    arena_.insert(arena_.end(), table.il_axis.points().begin(),
+                  table.il_axis.points().end());
+    arena_.insert(arena_.end(), table.ol_axis.points().begin(),
+                  table.ol_axis.points().end());
+    for (std::size_t cell = 0; cell < rows * cols; ++cell) {
+      arena_.push_back(table.subthreshold.values()[cell]);
+      arena_.push_back(table.gate.values()[cell]);
+      arena_.push_back(table.btbt.values()[cell]);
+    }
+    for (const Grid2D& grid : table.pin_current_grid) {
+      arena_.insert(arena_.end(), grid.values().begin(), grid.values().end());
+    }
+    blocks_.push_back(block);
+  }
+  return first;
 }
 
 void EstimationPlan::checkWorkspace(const EstimationWorkspace& ws) const {
@@ -149,14 +219,49 @@ void EstimationPlan::checkSourceCount(std::size_t got) const {
 
 void EstimationPlan::refreshGateVector(EstimationWorkspace& ws,
                                        GateId g) const {
-  std::size_t index = 0;
+  std::uint32_t index = 0;
   for (std::size_t pin = 0; pin < pin_offset_[g + 1] - pin_offset_[g];
        ++pin) {
     if (ws.values_[pin_net_[pin_offset_[g] + pin]]) {
-      index |= std::size_t{1} << pin;
+      index |= std::uint32_t{1} << pin;
     }
   }
-  ws.table_[g] = table_[table_offset_[g] + index];
+  ws.block_[g] = gate_block_[g] + index;
+}
+
+void EstimationPlan::loadNominalPinCurrents(EstimationWorkspace& ws,
+                                            GateId g) const {
+  const TableBlock& block = blocks_[ws.block_[g]];
+  const double* nominal = arena_.data() + block.pinCurrent();
+  double* slots = ws.pin_current_.data() + pin_offset_[g];
+  for (std::size_t pin = 0; pin < block.pins; ++pin) {
+    slots[pin] = nominal[pin];
+  }
+}
+
+Bilinear EstimationPlan::locateLoading(const TableBlock& block,
+                                       const GateEstimate& estimate,
+                                       std::size_t stride) const {
+  const double* arena = arena_.data();
+  return Bilinear(
+      locateOnAxis(arena + block.ilAxis(), block.rows, estimate.il),
+      locateOnAxis(arena + block.olAxis(), block.cols, estimate.ol),
+      block.rows, block.cols, stride);
+}
+
+void EstimationPlan::refinePinCurrents(EstimationWorkspace& ws,
+                                       GateId g) const {
+  const TableBlock& block = blocks_[ws.block_[g]];
+  const Bilinear at = locateLoading(block, ws.per_gate_[g], 1);
+  const double* arena = arena_.data();
+  const std::size_t grid_size = std::size_t{block.rows} * block.cols;
+  double* slots = ws.pin_current_.data() + pin_offset_[g];
+  for (std::size_t pin = 0; pin < block.pins; ++pin) {
+    // Pins without a stored surface keep their nominal current.
+    slots[pin] = pin < block.pin_grids
+                     ? at(arena + block.pinGrids() + pin * grid_size)
+                     : arena[block.pinCurrent() + pin];
+  }
 }
 
 double EstimationPlan::netInjection(const EstimationWorkspace& ws,
@@ -169,9 +274,15 @@ double EstimationPlan::netInjection(const EstimationWorkspace& ws,
   if (has_dffs_) {
     // DFF D pins load their nets like an inverter input at the net's level.
     sum += static_cast<double>(dff_load_count_[net]) *
-           dff_inv_table_[ws.values_[net] ? 1 : 0]->pin_current[0];
+           dff_pin_current_[ws.values_[net] ? 1 : 0];
   }
   return sum;
+}
+
+void EstimationPlan::refreshAllInjections(EstimationWorkspace& ws) const {
+  for (NetId net = 0; net < net_count_; ++net) {
+    ws.net_injection_[net] = netInjection(ws, net);
+  }
 }
 
 void EstimationPlan::refreshGateLoading(EstimationWorkspace& ws,
@@ -188,73 +299,67 @@ void EstimationPlan::refreshGateLoading(EstimationWorkspace& ws,
         ws.net_injection_[pin_net_[slot]] - ws.pin_current_[slot];
     il_total += std::abs(others);
   }
-  ws.il_[g] = il_total;
-  ws.ol_[g] = std::abs(ws.net_injection_[gate_output_[g]]);
+  GateEstimate& estimate = ws.per_gate_[g];
+  estimate.il = il_total;
+  estimate.ol = std::abs(ws.net_injection_[gate_output_[g]]);
 }
 
 void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
                                          GateId g) const {
   refreshGateLoading(ws, g);
   GateEstimate& estimate = ws.per_gate_[g];
-  estimate.il = ws.il_[g];
-  estimate.ol = ws.ol_[g];
-  estimate.leakage = ws.table_[g]->lookup(ws.il_[g], ws.ol_[g]);
+  const TableBlock& block = blocks_[ws.block_[g]];
+  // IL and OL are located once for all three components.
+  const Bilinear at = locateLoading(block, estimate, 3);
+  const double* cells = arena_.data() + block.cells();
+  estimate.leakage.subthreshold = at(cells);
+  estimate.leakage.gate = at(cells + 1);
+  estimate.leakage.btbt = at(cells + 2);
+}
+
+void EstimationPlan::isolatedGateEstimate(EstimationWorkspace& ws,
+                                          GateId g) const {
+  const double* isolated = arena_.data() + blocks_[ws.block_[g]].offset;
+  ws.per_gate_[g] =
+      GateEstimate{{isolated[0], isolated[1], isolated[2]}, 0.0, 0.0};
 }
 
 void EstimationPlan::computeAllFromValues(EstimationWorkspace& ws) const {
-  for (GateId g = 0; g < gate_count_; ++g) {
-    refreshGateVector(ws, g);
-  }
-
+  device::LeakageBreakdown total;
   if (!options_.with_loading) {
     // Traditional accumulation: isolated per-gate values at ideal rails
     // (the paper's no-loading baseline).
     for (GateId g = 0; g < gate_count_; ++g) {
-      ws.per_gate_[g] = GateEstimate{ws.table_[g]->isolated_nominal, 0.0, 0.0};
+      refreshGateVector(ws, g);
+      isolatedGateEstimate(ws, g);
+      total += ws.per_gate_[g].leakage;
     }
-    resumTotal(ws);
+    ws.total_ = total;
     return;
   }
 
-  // Iteration 0 uses the nominal characterization; further iterations
-  // re-derive pin currents at each gate's current (IL, OL) estimate.
+  // Iteration 0 uses the nominal characterization.
   for (GateId g = 0; g < gate_count_; ++g) {
-    const std::vector<double>& nominal = ws.table_[g]->pin_current;
-    for (std::size_t pin = 0; pin < nominal.size(); ++pin) {
-      ws.pin_current_[pin_offset_[g] + pin] = nominal[pin];
-    }
+    refreshGateVector(ws, g);
+    loadNominalPinCurrents(ws, g);
   }
-
-  for (int iter = 0; iter < options_.propagation_iterations; ++iter) {
-    // Net totals of signed pin-injection currents.
-    for (NetId net = 0; net < net_count_; ++net) {
-      ws.net_injection_[net] = netInjection(ws, net);
-    }
-
-    // Loading seen by each gate.
+  // Each further propagation level re-derives pin currents at the (IL,
+  // OL) of the level before. A gate's loading reads net injections and
+  // only its own pin slots, so refining gate by gate matches refining
+  // after every gate's loading.
+  for (int iter = 1; iter < options_.propagation_iterations; ++iter) {
+    refreshAllInjections(ws);
     for (GateId g = 0; g < gate_count_; ++g) {
       refreshGateLoading(ws, g);
-    }
-
-    // Refine pin currents for the next propagation level.
-    if (iter + 1 < options_.propagation_iterations) {
-      for (GateId g = 0; g < gate_count_; ++g) {
-        const std::size_t pins = pin_offset_[g + 1] - pin_offset_[g];
-        for (std::size_t pin = 0; pin < pins; ++pin) {
-          ws.pin_current_[pin_offset_[g] + pin] = ws.table_[g]->pinCurrentAt(
-              static_cast<int>(pin), ws.il_[g], ws.ol_[g]);
-        }
-      }
+      refinePinCurrents(ws, g);
     }
   }
-
+  refreshAllInjections(ws);
   for (GateId g = 0; g < gate_count_; ++g) {
-    GateEstimate& estimate = ws.per_gate_[g];
-    estimate.il = ws.il_[g];
-    estimate.ol = ws.ol_[g];
-    estimate.leakage = ws.table_[g]->lookup(ws.il_[g], ws.ol_[g]);
+    refreshGateEstimate(ws, g);
+    total += ws.per_gate_[g].leakage;
   }
-  resumTotal(ws);
+  ws.total_ = total;
 }
 
 void EstimationPlan::resumTotal(EstimationWorkspace& ws) const {
@@ -345,7 +450,7 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
   if (!options_.with_loading) {
     for (GateId g : ws.dirty_gates_) {
       refreshGateVector(ws, g);
-      ws.per_gate_[g] = GateEstimate{ws.table_[g]->isolated_nominal, 0.0, 0.0};
+      isolatedGateEstimate(ws, g);
     }
     resumTotal(ws);
     return;
@@ -355,10 +460,7 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
   //    currents.
   for (GateId g : ws.dirty_gates_) {
     refreshGateVector(ws, g);
-    const std::vector<double>& nominal = ws.table_[g]->pin_current;
-    for (std::size_t pin = 0; pin < nominal.size(); ++pin) {
-      ws.pin_current_[pin_offset_[g] + pin] = nominal[pin];
-    }
+    loadNominalPinCurrents(ws, g);
   }
 
   // 2. Nets whose injection can have moved: every input net of a dirty
@@ -426,11 +528,9 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
 EstimationWorkspace::EstimationWorkspace(const EstimationPlan& plan)
     : plan_(&plan) {
   values_.resize(plan.net_count_);
-  table_.resize(plan.gate_count_);
+  block_.resize(plan.gate_count_);
   pin_current_.resize(plan.pin_net_.size());
   net_injection_.resize(plan.net_count_);
-  il_.resize(plan.gate_count_);
-  ol_.resize(plan.gate_count_);
   per_gate_.resize(plan.gate_count_);
   net_mark_.assign(plan.net_count_, 0);
   gate_mark_.assign(plan.gate_count_, 0);

@@ -2,25 +2,29 @@
 /// Compile-once / execute-many split of the paper's Fig. 13 estimator.
 ///
 /// EstimationPlan is the "compiled" form of (netlist, library, options):
-/// gate input pins and net fanouts flattened into CSR arrays, the
-/// VectorTable pointer for every (gate, input vector) resolved up front,
-/// DFF load counts and the INV boundary tables baked in. A plan is
-/// immutable after construction and safe to share across threads.
+/// gate input pins and net fanouts flattened into CSR arrays, every table
+/// the netlist reads copied into one contiguous arena (one 32-bit block
+/// index per gate, plus the input vector, names a gate's table), DFF load
+/// counts and the INV boundary pin currents baked in. A plan is immutable
+/// after construction and safe to share across threads.
 ///
 /// EstimationWorkspace holds the per-execution SoA buffers (net values,
-/// vector indices, pin currents, net injections, IL/OL, per-gate results).
+/// resolved table blocks, pin currents, net injections, per-gate results).
 /// Reusing one workspace across calls makes steady-state estimation
 /// allocation-free, and lets estimateDelta() re-estimate an input pattern
 /// that differs in a few bits by recomputing only the dirty gates and their
 /// net neighbourhoods. A workspace belongs to one thread at a time: share
 /// the plan, give each thread its own workspace.
 ///
-/// Both execution paths are bit-identical to the legacy per-call
-/// LeakageEstimator::estimate - plan compilation only moves work, it never
-/// reorders a floating-point operation.
+/// Both execution paths are bit-identical to evaluating Fig. 13 directly
+/// over VectorTable::lookup / pinCurrentAt: the arena lookup runs the same
+/// locateOnAxis and Bilinear arithmetic on copies of the same values, and
+/// plan compilation only moves work, it never reorders a floating-point
+/// operation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/leakage_table.h"
@@ -71,14 +75,16 @@ std::vector<gates::GateKind> estimationKinds(
 
 /// Immutable compiled form of the Fig. 13 estimator for one
 /// (netlist, library, options) triple. The netlist and library must
-/// outlive the plan and stay unmodified (the plan holds pointers into the
-/// library's tables).
+/// outlive the plan and stay unmodified: the plan reads the netlist and
+/// serves both through netlist()/library(), although estimation itself
+/// reads only the plan's copy of the tables.
 class EstimationPlan {
  public:
   /// Compiles the plan. Requires the library to cover every gate kind in
   /// the netlist (INV additionally when the netlist has DFFs, for the
-  /// boundary model) and propagation_iterations >= 1. Throws
-  /// nanoleak::Error otherwise.
+  /// boundary model), every table to carry one pin current per gate pin
+  /// and grids shaped like its axes, and propagation_iterations >= 1.
+  /// Throws nanoleak::Error otherwise.
   EstimationPlan(const logic::LogicNetlist& netlist,
                  const LeakageLibrary& library,
                  EstimatorOptions options = {});
@@ -128,6 +134,8 @@ class EstimationPlan {
 
   void checkWorkspace(const EstimationWorkspace& ws) const;
   void checkSourceCount(std::size_t got) const;
+  /// Copies the tables of `kind` into the arena; returns its first block.
+  std::uint32_t appendKindTables(gates::GateKind kind, std::size_t pins);
   /// Full evaluation into the workspace (no argument checks).
   void evaluateFull(const std::vector<bool>& source_values,
                     EstimationWorkspace& ws) const;
@@ -135,16 +143,32 @@ class EstimationPlan {
   /// estimateDelta() and estimateDeltaTotal().
   void evaluateDelta(const std::vector<bool>& source_values,
                      EstimationWorkspace& ws) const;
-  /// Vector index + resolved table of one gate from current net values.
+  /// Table block of one gate from current net values.
   void refreshGateVector(EstimationWorkspace& ws, logic::GateId g) const;
+  /// The nominal pin currents of one gate's table into its pin slots.
+  void loadNominalPinCurrents(EstimationWorkspace& ws, logic::GateId g) const;
+  struct TableBlock;
+  /// The interpolation at a gate's (IL, OL) on a block's grid, for cells
+  /// `stride` values apart.
+  Bilinear locateLoading(const TableBlock& block,
+                         const GateEstimate& estimate,
+                         std::size_t stride) const;
+  /// Pin currents of one gate's table at its current (IL, OL), for the
+  /// next propagation level.
+  void refinePinCurrents(EstimationWorkspace& ws, logic::GateId g) const;
   /// IL/OL of one gate from current injections and pin currents (the
-  /// paper's IL-IN rule; single definition shared by the full and delta
-  /// paths so they cannot drift).
+  /// paper's IL-IN rule).
   void refreshGateLoading(EstimationWorkspace& ws, logic::GateId g) const;
-  /// refreshGateLoading + table lookup into the per-gate result.
+  /// refreshGateLoading + arena lookup into the per-gate result: the
+  /// single per-gate step of the full and the delta paths, so they cannot
+  /// drift.
   void refreshGateEstimate(EstimationWorkspace& ws, logic::GateId g) const;
+  /// The isolated (no-loading) estimate of one gate's table.
+  void isolatedGateEstimate(EstimationWorkspace& ws, logic::GateId g) const;
   /// Net injection from current pin currents and values.
   double netInjection(const EstimationWorkspace& ws, logic::NetId net) const;
+  /// Injections of every net.
+  void refreshAllInjections(EstimationWorkspace& ws) const;
   /// Everything after logic simulation, for all gates.
   void computeAllFromValues(EstimationWorkspace& ws) const;
   /// Re-sums the whole-circuit total from per-gate leakages (gate order).
@@ -158,36 +182,63 @@ class EstimationPlan {
   std::size_t net_count_ = 0;
   logic::LogicSimulator simulator_;
 
-  static constexpr logic::GateId kNoDriver =
-      static_cast<logic::GateId>(-1);
+  // Gate, net and pin-slot indices of the compiled arrays (32-bit, so the
+  // hot pass streams half the bytes).
+  using Index = std::uint32_t;
+  static constexpr Index kNoDriver = static_cast<Index>(-1);
 
   // CSR gate inputs: pin slot s of gate g spans
   // [pin_offset_[g], pin_offset_[g + 1]); pin_net_[s] is the net the pin
   // reads, pin_loadable_[s] whether loading on that net can shift the pin
   // voltage (false for ideally driven primary-input nets).
-  std::vector<std::size_t> pin_offset_;
-  std::vector<logic::NetId> pin_net_;
+  std::vector<Index> pin_offset_;
+  std::vector<Index> pin_net_;
   std::vector<char> pin_loadable_;
-  std::vector<logic::NetId> gate_output_;
+  std::vector<Index> gate_output_;
 
   // CSR net fanout: entry k in [fanout_offset_[net], fanout_offset_[net+1])
   // is the flat pin slot fanout_slot_[k] of gate fanout_gate_[k].
-  std::vector<std::size_t> fanout_offset_;
-  std::vector<std::size_t> fanout_slot_;
-  std::vector<logic::GateId> fanout_gate_;
-  std::vector<logic::GateId> net_driver_gate_;
+  std::vector<Index> fanout_offset_;
+  std::vector<Index> fanout_slot_;
+  std::vector<Index> fanout_gate_;
+  std::vector<Index> net_driver_gate_;
 
   // DFF boundary model: D pins load their nets like an INV input at the
-  // net's logic level.
+  // net's logic level (the nominal INV pin current at input 0 and 1).
   bool has_dffs_ = false;
   std::vector<int> dff_load_count_;
-  const VectorTable* dff_inv_table_[2] = {nullptr, nullptr};
+  double dff_pin_current_[2] = {0.0, 0.0};
 
-  // Per-(gate, input vector) tables: gate g's tables span
-  // [table_offset_[g], table_offset_[g + 1]) - one per input vector,
-  // indexed by vectorIndex().
-  std::vector<std::size_t> table_offset_;
-  std::vector<const VectorTable*> table_;
+  // Table arena: every (kind, input vector) table the gates read, copied
+  // into one contiguous array. A block holds isolated_nominal (sub, gate,
+  // btbt), the nominal pin currents, the IL then the OL axis points, the
+  // (sub, gate, btbt) cells interleaved per grid point (row-major, one row
+  // per IL point), then one rows x cols surface per stored pin-current
+  // grid.
+  struct TableBlock {
+    std::uint32_t offset;     // arena index of the block's first value
+    std::uint16_t rows;       // IL axis points
+    std::uint16_t cols;       // OL axis points
+    std::uint16_t pins;       // nominal pin currents
+    std::uint16_t pin_grids;  // stored pin-current surfaces (<= pins)
+
+    // Arena indices of the block's sections.
+    std::size_t pinCurrent() const { return offset + 3; }
+    std::size_t ilAxis() const { return pinCurrent() + pins; }
+    std::size_t olAxis() const { return ilAxis() + rows; }
+    std::size_t cells() const { return olAxis() + cols; }
+    std::size_t pinGrids() const {
+      return cells() + std::size_t{3} * rows * cols;
+    }
+    std::size_t end() const {
+      return pinGrids() + std::size_t{pin_grids} * rows * cols;
+    }
+  };
+  std::vector<double> arena_;
+  std::vector<TableBlock> blocks_;
+  // Gate g at input vector v (vectorIndex()) reads block
+  // gate_block_[g] + v: a kind's blocks are consecutive.
+  std::vector<std::uint32_t> gate_block_;
 };
 
 /// Reusable per-thread execution buffers for one EstimationPlan.
@@ -213,11 +264,9 @@ class EstimationWorkspace {
 
   // SoA execution state (persisted between calls for the delta path).
   std::vector<bool> values_;
-  std::vector<const VectorTable*> table_;
+  std::vector<std::uint32_t> block_;  // per gate: its current table block
   std::vector<double> pin_current_;
   std::vector<double> net_injection_;
-  std::vector<double> il_;
-  std::vector<double> ol_;
   std::vector<GateEstimate> per_gate_;
   device::LeakageBreakdown total_;
 

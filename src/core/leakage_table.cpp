@@ -17,17 +17,7 @@ Axis::Axis(std::vector<double> points) : points_(std::move(points)) {
 }
 
 Axis::Location Axis::locate(double x) const {
-  if (points_.size() == 1 || x <= points_.front()) {
-    return {0, 0.0};
-  }
-  if (x >= points_.back()) {
-    return {points_.size() - 2, 1.0};
-  }
-  const auto it = std::upper_bound(points_.begin(), points_.end(), x);
-  const auto index = static_cast<std::size_t>(it - points_.begin()) - 1;
-  const double lo = points_[index];
-  const double hi = points_[index + 1];
-  return {index, (x - lo) / (hi - lo)};
+  return locateOnAxis(points_.data(), points_.size(), x);
 }
 
 Grid2D::Grid2D(std::size_t rows, std::size_t cols)
@@ -47,15 +37,9 @@ double Grid2D::at(std::size_t row, std::size_t col) const {
 
 double Grid2D::interpolate(const Axis::Location& row,
                            const Axis::Location& col) const {
-  const std::size_t r1 = std::min(row.index + 1, rows_ - 1);
-  const std::size_t c1 = std::min(col.index + 1, cols_ - 1);
-  const double v00 = at(row.index, col.index);
-  const double v01 = at(row.index, c1);
-  const double v10 = at(r1, col.index);
-  const double v11 = at(r1, c1);
-  const double top = v00 + (v01 - v00) * col.fraction;
-  const double bottom = v10 + (v11 - v10) * col.fraction;
-  return top + (bottom - top) * row.fraction;
+  require(row.index < rows_ && col.index < cols_,
+          "Grid2D::interpolate: location out of range");
+  return Bilinear(row, col, rows_, cols_, 1)(values_.data());
 }
 
 device::LeakageBreakdown VectorTable::lookup(double il, double ol) const {

@@ -9,6 +9,7 @@
 /// at estimation time.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <iosfwd>
 #include <map>
@@ -40,11 +41,81 @@ class Axis {
     /// Position within the segment, in [0, 1].
     double fraction;
   };
-  /// Locates x on the axis (clamped to the range).
+  /// Locates x on the axis (clamped to the range); see locateOnAxis().
   Location locate(double x) const;
 
  private:
   std::vector<double> points_;
+};
+
+/// Locates x on the ascending points [points, points + n), n >= 1: the
+/// index of std::upper_bound's segment, clamped to the range, and the
+/// fraction (x - lo) / (hi - lo) within it. x at or below the first point
+/// (or NaN) gives {0, 0}, at or above the last {n - 2, 1}, a single-point
+/// axis always {0, 0}. The one locate behind Axis::locate and the
+/// estimation plan's table arena; it counts the interior points at or
+/// below the clamped x instead of searching, so random loadings do not
+/// mispredict.
+inline Axis::Location locateOnAxis(const double* points, std::size_t n,
+                                   double x) {
+  if (n == 1) {
+    return {0, 0.0};
+  }
+  // Selects rather than std::min/max: x equal to an end point (a zero of
+  // either sign included) or NaN clamps to the point itself, so the end
+  // fractions are exactly +0 and 1.
+  double clamped = x > points[0] ? x : points[0];
+  clamped = clamped < points[n - 1] ? clamped : points[n - 1];
+  std::size_t index = 0;
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    index += clamped >= points[i] ? 1 : 0;
+  }
+  const double lo = points[index];
+  const double hi = points[index + 1];
+  return {index, (clamped - lo) / (hi - lo)};
+}
+
+/// One bilinear interpolation on a rows x cols grid whose cell (r, c)
+/// sits at `(r * cols + c) * stride` from the grid start: the four corner
+/// cells and the two fractions, computed once and applied to as many
+/// grids of that shape as share the location (stride 1 for a Grid2D,
+/// stride 3 for the arena's interleaved components).
+struct Bilinear {
+  /// Corners at two located axis positions (indices within the grid).
+  Bilinear(const Axis::Location& row, const Axis::Location& col,
+           std::size_t rows, std::size_t cols, std::size_t stride)
+      : row_fraction(row.fraction), col_fraction(col.fraction) {
+    const std::size_t r1 = std::min(row.index + 1, rows - 1);
+    const std::size_t c1 = std::min(col.index + 1, cols - 1);
+    v00 = (row.index * cols + col.index) * stride;
+    v01 = (row.index * cols + c1) * stride;
+    v10 = (r1 * cols + col.index) * stride;
+    v11 = (r1 * cols + c1) * stride;
+  }
+
+  /// The interpolated value of the grid starting at `cells`.
+  double operator()(const double* cells) const {
+    const double a = cells[v00];
+    const double b = cells[v01];
+    const double c = cells[v10];
+    const double d = cells[v11];
+    const double top = a + (b - a) * col_fraction;
+    const double bottom = c + (d - c) * col_fraction;
+    return top + (bottom - top) * row_fraction;
+  }
+
+  /// Offset of the (row, col) cell.
+  std::size_t v00;
+  /// Offset of the (row, col + 1) cell, clamped to the grid.
+  std::size_t v01;
+  /// Offset of the (row + 1, col) cell, clamped to the grid.
+  std::size_t v10;
+  /// Offset of the (row + 1, col + 1) cell, clamped to the grid.
+  std::size_t v11;
+  /// Position between the two rows, in [0, 1].
+  double row_fraction;
+  /// Position between the two columns, in [0, 1].
+  double col_fraction;
 };
 
 /// Row-major 2-D value grid with bilinear interpolation.
@@ -63,7 +134,8 @@ class Grid2D {
   double& at(std::size_t row, std::size_t col);
   /// Cell access (unchecked).
   double at(std::size_t row, std::size_t col) const;
-  /// Bilinear interpolation at two located axis positions.
+  /// Bilinear interpolation at two located axis positions (indices
+  /// within the grid; throws nanoleak::Error otherwise).
   double interpolate(const Axis::Location& row,
                      const Axis::Location& col) const;
   /// The raw row-major cell values.

@@ -10,6 +10,7 @@
 // the metamorphic tests pin.
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "obs/trace.h"
@@ -36,33 +37,57 @@ namespace {
 std::vector<double> staticImpact(const core::EstimationPlan& plan,
                                  const LeakageBounds& bounds) {
   const logic::LogicNetlist& netlist = plan.netlist();
+  const std::size_t gates = netlist.gateCount();
+  const std::size_t nets = netlist.netCount();
+
+  // Flat copies of what the walks read: each gate's bound width over all
+  // its vectors and its output net, and the fanout gates of every net in
+  // netlist.fanout() order (a gate once per pin on the net).
+  std::vector<double> width(gates);
+  std::vector<logic::NetId> output(gates);
+  for (logic::GateId g = 0; g < gates; ++g) {
+    const logic::Gate& gate = netlist.gate(g);
+    const std::size_t nv = std::size_t{1} << gate.inputs.size();
+    const std::uint32_t all = nv >= 32 ? 0xffffffffu : ((1u << nv) - 1u);
+    width[g] = bounds.maskMax(g, all) - bounds.maskMin(g, all);
+    output[g] = gate.output;
+  }
+  std::vector<std::size_t> fanout_offset(nets + 1, 0);
+  std::vector<logic::GateId> fanout_gate;
+  for (logic::NetId net = 0; net < nets; ++net) {
+    for (const logic::PinRef& ref : netlist.fanout(net)) {
+      fanout_gate.push_back(ref.gate);
+    }
+    fanout_offset[net + 1] = fanout_gate.size();
+  }
+
+  // Depth-first walk of each source's cone, summing widths in visit
+  // order. Walk s marks what it has seen with stamp s + 1, so no walk
+  // clears the marks of the one before.
   const std::vector<logic::NetId> sources = netlist.sourceNets();
   std::vector<double> impact(sources.size(), 0.0);
-  std::vector<char> gate_seen(netlist.gateCount());
-  std::vector<char> net_seen(netlist.netCount());
+  std::vector<std::size_t> gate_seen(gates, 0);
+  std::vector<std::size_t> net_seen(nets, 0);
   std::vector<logic::NetId> frontier;
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    std::fill(gate_seen.begin(), gate_seen.end(), 0);
-    std::fill(net_seen.begin(), net_seen.end(), 0);
+    const std::size_t stamp = s + 1;
     frontier.assign(1, sources[s]);
-    net_seen[sources[s]] = 1;
+    net_seen[sources[s]] = stamp;
     double sum = 0.0;
     while (!frontier.empty()) {
       const logic::NetId net = frontier.back();
       frontier.pop_back();
-      for (const logic::PinRef& ref : netlist.fanout(net)) {
-        if (gate_seen[ref.gate]) {
+      for (std::size_t k = fanout_offset[net]; k < fanout_offset[net + 1];
+           ++k) {
+        const logic::GateId g = fanout_gate[k];
+        if (gate_seen[g] == stamp) {
           continue;
         }
-        gate_seen[ref.gate] = 1;
-        const logic::Gate& gate = netlist.gate(ref.gate);
-        const std::size_t nv = std::size_t{1} << gate.inputs.size();
-        const std::uint32_t all =
-            nv >= 32 ? 0xffffffffu : ((1u << nv) - 1u);
-        sum += bounds.maskMax(ref.gate, all) - bounds.maskMin(ref.gate, all);
-        if (!net_seen[gate.output]) {
-          net_seen[gate.output] = 1;
-          frontier.push_back(gate.output);
+        gate_seen[g] = stamp;
+        sum += width[g];
+        if (net_seen[output[g]] != stamp) {
+          net_seen[output[g]] = stamp;
+          frontier.push_back(output[g]);
         }
       }
     }
@@ -188,10 +213,11 @@ class HeuristicEngine {
   }
 
   double evaluate(const std::vector<bool>& pattern) {
-    plan_.estimateDelta(pattern, ws_, scratch_);
+    const device::LeakageBreakdown leakage =
+        plan_.estimateDeltaTotal(pattern, ws_);
     ++stats_.leaf_evals;
     ++stats_.nodes_expanded;
-    const double total = scratch_.total.total();
+    const double total = leakage.total();
     const bool better =
         !has_best_ ||
         (options_.objective == Objective::kMin ? total < best_total_
@@ -200,7 +226,7 @@ class HeuristicEngine {
     if (better) {
       has_best_ = true;
       best_total_ = total;
-      best_leakage_ = scratch_.total;
+      best_leakage_ = leakage;
       best_vector_ = pattern;
       ++stats_.improvements;
     }
@@ -223,7 +249,6 @@ class HeuristicEngine {
   std::vector<double> impact_;
   ActivityHeap activity_;
   core::EstimationWorkspace ws_;
-  core::EstimateResult scratch_;
   std::vector<bool> best_vector_;
   device::LeakageBreakdown best_leakage_;
   double best_total_ = 0.0;

@@ -128,16 +128,17 @@ class BranchAndBound {
   }
 
   void evaluateLeaf() {
-    plan_.estimateDelta(assignment_, ws_, scratch_);
+    const device::LeakageBreakdown leakage =
+        plan_.estimateDeltaTotal(assignment_, ws_);
     ++stats_.leaf_evals;
-    const double total = scratch_.total.total();
+    const double total = leakage.total();
     const bool better =
         !has_best_ || (objective_ == Objective::kMin ? total < best_total_
                                                      : total > best_total_);
     if (better) {
       has_best_ = true;
       best_total_ = total;
-      best_leakage_ = scratch_.total;
+      best_leakage_ = leakage;
       best_vector_ = assignment_;
       ++stats_.improvements;
     }
@@ -149,7 +150,6 @@ class BranchAndBound {
   LeakageBounds bounds_;
   BoundTracker tracker_;
   core::EstimationWorkspace ws_;
-  core::EstimateResult scratch_;
   std::vector<bool> assignment_;
   std::vector<bool> best_vector_;
   device::LeakageBreakdown best_leakage_;
@@ -217,24 +217,24 @@ ExhaustiveResult exhaustiveSearch(const core::EstimationPlan& plan) {
   require(n <= 26, "exhaustiveSearch: too many sources (limit 26)");
 
   core::EstimationWorkspace ws(plan);
-  core::EstimateResult scratch;
   std::vector<bool> pattern(n, false);
 
   ExhaustiveResult out;
   SearchStats stats;
 
-  auto consider = [&](double total) {
+  auto consider = [&](const device::LeakageBreakdown& leakage) {
+    const double total = leakage.total();
     const bool first = stats.leaf_evals == 0;
     if (first || total < out.min.total ||
         (total == out.min.total && lexLess(pattern, out.min.vector))) {
       out.min.total = total;
-      out.min.leakage = scratch.total;
+      out.min.leakage = leakage;
       out.min.vector = pattern;
     }
     if (first || total > out.max.total ||
         (total == out.max.total && lexLess(pattern, out.max.vector))) {
       out.max.total = total;
-      out.max.leakage = scratch.total;
+      out.max.leakage = leakage;
       out.max.vector = pattern;
     }
     ++stats.leaf_evals;
@@ -242,15 +242,14 @@ ExhaustiveResult exhaustiveSearch(const core::EstimationPlan& plan) {
   };
 
   const std::uint64_t count = std::uint64_t{1} << n;
-  plan.estimate(pattern, ws, scratch);
-  consider(scratch.total.total());
+  // On the cold workspace the first call is a full evaluation.
+  consider(plan.estimateDeltaTotal(pattern, ws));
   for (std::uint64_t i = 1; i < count; ++i) {
     // Gray-code walk: step i flips bit ctz(i), so every estimateDelta()
     // re-estimates a single source cone.
     const unsigned bit = static_cast<unsigned>(std::countr_zero(i));
     pattern[bit] = !pattern[bit];
-    plan.estimateDelta(pattern, ws, scratch);
-    consider(scratch.total.total());
+    consider(plan.estimateDeltaTotal(pattern, ws));
   }
   out.min.exact = true;
   out.max.exact = true;

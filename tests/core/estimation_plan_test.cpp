@@ -1,19 +1,22 @@
 // Equivalence contract of the compile-once / execute-many split: the
 // EstimationPlan + EstimationWorkspace paths (full and incremental delta)
-// are bit-identical to the legacy per-call LeakageEstimator::estimate on
-// every LeakageBreakdown field of every gate, across randomized circuits,
-// patterns, single-bit-flip walks, propagation iteration counts, and
-// DFF-bearing netlists.
+// are bit-identical, on every LeakageBreakdown field and IL/OL of every
+// gate, to an independent reference that evaluates the paper's Fig. 13
+// directly from the netlist and the library's VectorTables - across
+// randomized circuits, patterns, single-bit-flip walks, propagation
+// iteration counts, DFF-bearing netlists, the no-loading mode, and a
+// hand-built library whose vectors have different axis lengths.
 #include "core/estimation_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
 #include "logic/generators.h"
+#include "logic/logic_sim.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -50,15 +53,100 @@ void expectExactlyEqual(const EstimateResult& expected,
   }
 }
 
+/// Fig. 13 evaluated gate by gate with no plan: logic values from
+/// LogicSimulator, each net's injection the sum of its fanout pins'
+/// VectorTable::pin_current in netlist.fanout() order plus an INV input
+/// current per DFF D pin, the IL-IN rule (each pin sees its net minus its
+/// own current; primary-input nets are ideal), VectorTable::lookup at the
+/// resulting (IL, OL), pinCurrentAt for further propagation levels, and
+/// the total summed in gate order.
+EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
+                                 const LeakageLibrary& library,
+                                 const EstimatorOptions& options,
+                                 const std::vector<bool>& source_values) {
+  std::vector<bool> values;
+  logic::LogicSimulator(netlist).simulateInto(source_values, values);
+  const std::size_t gates = netlist.gateCount();
+  std::vector<const VectorTable*> table(gates);
+  for (logic::GateId g = 0; g < gates; ++g) {
+    std::vector<bool> inputs;
+    for (logic::NetId net : netlist.gate(g).inputs) {
+      inputs.push_back(values[net]);
+    }
+    table[g] = &library.table(netlist.gate(g).kind, vectorIndex(inputs));
+  }
+
+  EstimateResult result;
+  result.per_gate.resize(gates);
+  if (!options.with_loading) {
+    for (logic::GateId g = 0; g < gates; ++g) {
+      result.per_gate[g].leakage = table[g]->isolated_nominal;
+      result.total += result.per_gate[g].leakage;
+    }
+    return result;
+  }
+
+  std::vector<std::vector<double>> current(gates);
+  for (logic::GateId g = 0; g < gates; ++g) {
+    current[g] = table[g]->pin_current;
+  }
+  for (int iter = 0; iter < options.propagation_iterations; ++iter) {
+    std::vector<double> injection(netlist.netCount());
+    for (logic::NetId net = 0; net < netlist.netCount(); ++net) {
+      double sum = 0.0;
+      for (const logic::PinRef& ref : netlist.fanout(net)) {
+        sum += current[ref.gate][static_cast<std::size_t>(ref.pin)];
+      }
+      if (!netlist.dffs().empty()) {
+        sum += static_cast<double>(netlist.dffLoadCount(net)) *
+               library.table(gates::GateKind::kInv, values[net] ? 1 : 0)
+                   .pin_current[0];
+      }
+      injection[net] = sum;
+    }
+    for (logic::GateId g = 0; g < gates; ++g) {
+      const logic::Gate& gate = netlist.gate(g);
+      double il = 0.0;
+      for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+        const logic::NetId net = gate.inputs[pin];
+        if (netlist.driverKind(net) != logic::DriverKind::kPrimaryInput) {
+          il += std::abs(injection[net] - current[g][pin]);
+        }
+      }
+      result.per_gate[g].il = il;
+      result.per_gate[g].ol = std::abs(injection[gate.output]);
+    }
+    if (iter + 1 < options.propagation_iterations) {
+      for (logic::GateId g = 0; g < gates; ++g) {
+        for (std::size_t pin = 0; pin < current[g].size(); ++pin) {
+          current[g][pin] =
+              table[g]->pinCurrentAt(static_cast<int>(pin),
+                                     result.per_gate[g].il,
+                                     result.per_gate[g].ol);
+        }
+      }
+    }
+  }
+  for (logic::GateId g = 0; g < gates; ++g) {
+    GateEstimate& estimate = result.per_gate[g];
+    estimate.leakage = table[g]->lookup(estimate.il, estimate.ol);
+    result.total += estimate.leakage;
+  }
+  return result;
+}
+
 /// Random patterns (full path on a fresh and a reused workspace) followed
-/// by a single-bit-flip walk (delta path), all checked against the legacy
-/// estimator.
+/// by a single-bit-flip walk (delta path), all checked against the
+/// reference.
 void runEquivalence(const logic::LogicNetlist& netlist,
+                    const LeakageLibrary& library,
                     const EstimatorOptions& options,
                     const std::string& context, std::uint64_t seed,
                     int random_patterns = 6, int flip_steps = 24) {
-  const LeakageEstimator legacy(netlist, sharedLibrary(), options);
-  const EstimationPlan plan(netlist, sharedLibrary(), options);
+  const auto reference = [&](const std::vector<bool>& pattern) {
+    return referenceEstimate(netlist, library, options, pattern);
+  };
+  const EstimationPlan plan(netlist, library, options);
   EstimationWorkspace ws(plan);
   EstimateResult plan_result;
 
@@ -66,7 +154,7 @@ void runEquivalence(const logic::LogicNetlist& netlist,
   for (int i = 0; i < random_patterns; ++i) {
     const std::vector<bool> pattern =
         logic::randomPattern(plan.sourceCount(), rng);
-    const EstimateResult expected = legacy.estimate(pattern);
+    const EstimateResult expected = reference(pattern);
 
     // Full path on a cold workspace.
     EstimationWorkspace cold(plan);
@@ -89,8 +177,14 @@ void runEquivalence(const logic::LogicNetlist& netlist,
     const std::size_t bit =
         static_cast<std::size_t>(rng.uniformInt(plan.sourceCount()));
     pattern[bit] = !pattern[bit];
+    const EstimateResult expected = reference(pattern);
+    const device::LeakageBreakdown total =
+        plan.estimateDeltaTotal(pattern, ws);
+    EXPECT_EQ(expected.total.subthreshold, total.subthreshold) << context;
+    EXPECT_EQ(expected.total.gate, total.gate) << context;
+    EXPECT_EQ(expected.total.btbt, total.btbt) << context;
     plan.estimateDelta(pattern, ws, plan_result);
-    expectExactlyEqual(legacy.estimate(pattern), plan_result,
+    expectExactlyEqual(expected, plan_result,
                        context + " delta step " + std::to_string(step));
   }
 
@@ -99,11 +193,30 @@ void runEquivalence(const logic::LogicNetlist& netlist,
     pattern[bit] = !pattern[bit];
   }
   plan.estimateDelta(pattern, ws, plan_result);
-  expectExactlyEqual(legacy.estimate(pattern), plan_result,
+  expectExactlyEqual(reference(pattern), plan_result,
                      context + " delta jump");
 }
 
-TEST(EstimationPlanTest, MatchesLegacyOnRandomCircuits) {
+/// Runs runEquivalence at one and three propagation levels and without
+/// loading.
+void runAllModes(const logic::LogicNetlist& netlist,
+                 const LeakageLibrary& library, const std::string& name,
+                 std::uint64_t& seed, int random_patterns = 6,
+                 int flip_steps = 24) {
+  for (int iterations : {1, 3}) {
+    EstimatorOptions options;
+    options.propagation_iterations = iterations;
+    runEquivalence(netlist, library, options,
+                   name + " iters=" + std::to_string(iterations), seed++,
+                   random_patterns, flip_steps);
+  }
+  EstimatorOptions no_loading;
+  no_loading.with_loading = false;
+  runEquivalence(netlist, library, no_loading, name + " no-loading",
+                 seed++, random_patterns, flip_steps);
+}
+
+TEST(EstimationPlanTest, MatchesReferenceOnRandomCircuits) {
   struct Case {
     std::string name;
     logic::LogicNetlist netlist;
@@ -118,20 +231,11 @@ TEST(EstimationPlanTest, MatchesLegacyOnRandomCircuits) {
 
   std::uint64_t seed = 7;
   for (const Case& c : cases) {
-    for (int iterations : {1, 3}) {
-      EstimatorOptions options;
-      options.propagation_iterations = iterations;
-      runEquivalence(c.netlist, options,
-                     c.name + " iters=" + std::to_string(iterations),
-                     seed++);
-    }
-    EstimatorOptions no_loading;
-    no_loading.with_loading = false;
-    runEquivalence(c.netlist, no_loading, c.name + " no-loading", seed++);
+    runAllModes(c.netlist, sharedLibrary(), c.name, seed);
   }
 }
 
-TEST(EstimationPlanTest, MatchesLegacyOnDffBoundary) {
+TEST(EstimationPlanTest, MatchesReferenceOnDffBoundary) {
   // Hand-built DFF netlist: gate -> DFF -> gate, so both the pseudo-PO
   // loading on the D net and the pseudo-PI source on the Q net are hit.
   logic::LogicNetlist nl;
@@ -145,13 +249,150 @@ TEST(EstimationPlanTest, MatchesLegacyOnDffBoundary) {
   nl.addGate(gates::GateKind::kInv, {q}, out);
   nl.markPrimaryOutput(out);
 
-  for (int iterations : {1, 3}) {
-    EstimatorOptions options;
-    options.propagation_iterations = iterations;
-    runEquivalence(nl, options,
-                   "dff_pair iters=" + std::to_string(iterations), 99,
-                   /*random_patterns=*/4, /*flip_steps=*/8);
+  std::uint64_t seed = 99;
+  runAllModes(nl, sharedLibrary(), "dff_pair", seed, /*random_patterns=*/4,
+              /*flip_steps=*/8);
+}
+
+/// A Grid2D of `rows` x `cols` values drawn from `rng` in [lo, hi).
+Grid2D randomGrid(std::size_t rows, std::size_t cols, double lo, double hi,
+                  Rng& rng) {
+  Grid2D grid(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      grid.at(r, c) = rng.uniform(lo, hi);
+    }
   }
+  return grid;
+}
+
+/// A table on its own IL/OL axes, with random surfaces and pin currents
+/// and `pin_grids` stored pin-current surfaces.
+VectorTable raggedTable(std::vector<double> il, std::vector<double> ol,
+                        std::size_t pins, std::size_t pin_grids, Rng& rng) {
+  VectorTable table;
+  const std::size_t rows = il.size();
+  const std::size_t cols = ol.size();
+  table.il_axis = Axis(std::move(il));
+  table.ol_axis = Axis(std::move(ol));
+  table.nominal = {rng.uniform(1e-9, 2e-9), rng.uniform(1e-9, 2e-9),
+                   rng.uniform(1e-10, 2e-10)};
+  table.isolated_nominal = {rng.uniform(1e-9, 2e-9), rng.uniform(1e-9, 2e-9),
+                            rng.uniform(1e-10, 2e-10)};
+  for (std::size_t pin = 0; pin < pins; ++pin) {
+    table.pin_current.push_back(rng.uniform(-1.5e-6, 1.5e-6));
+  }
+  table.subthreshold = randomGrid(rows, cols, 1e-9, 3e-9, rng);
+  table.gate = randomGrid(rows, cols, 1e-9, 3e-9, rng);
+  table.btbt = randomGrid(rows, cols, 1e-10, 3e-10, rng);
+  for (std::size_t pin = 0; pin < pin_grids; ++pin) {
+    table.pin_current_grid.push_back(
+        randomGrid(rows, cols, -2e-6, 2e-6, rng));
+  }
+  return table;
+}
+
+/// INV and NAND2 tables whose vectors all differ in axis lengths: single
+/// point axes, short and long ones, and pin-current surfaces stored for
+/// all, some or none of a vector's pins.
+LeakageLibrary raggedLibrary() {
+  Rng rng(1234);
+  LeakageLibrary library;
+  std::vector<VectorTable> inv;
+  inv.push_back(raggedTable({0.0}, {0.0, 1e-6, 3e-6}, 1, 1, rng));
+  inv.push_back(raggedTable({0.0, 2e-6}, {0.0}, 1, 0, rng));
+  library.insert(gates::GateKind::kInv, std::move(inv));
+  std::vector<VectorTable> nand;
+  nand.push_back(
+      raggedTable({0.0, 0.5e-6, 1e-6, 4e-6}, {0.0, 2e-6}, 2, 2, rng));
+  nand.push_back(raggedTable({0.0, 1e-6, 2e-6},
+                             {0.0, 0.7e-6, 1.5e-6, 5e-6, 9e-6}, 2, 1, rng));
+  nand.push_back(raggedTable({0.0}, {0.0}, 2, 2, rng));
+  nand.push_back(raggedTable({0.0, 3e-6}, {0.0, 1e-6, 2e-6}, 2, 0, rng));
+  library.insert(gates::GateKind::kNand2, std::move(nand));
+  return library;
+}
+
+/// A random INV/NAND2 netlist over 4 primary inputs and 3 DFFs.
+logic::LogicNetlist raggedNetlist() {
+  Rng rng(77);
+  logic::LogicNetlist nl;
+  std::vector<logic::NetId> pool;
+  for (int i = 0; i < 4; ++i) {
+    const logic::NetId pi = nl.addNet("pi" + std::to_string(i));
+    nl.markPrimaryInput(pi);
+    pool.push_back(pi);
+  }
+  std::vector<logic::NetId> qs;
+  for (int i = 0; i < 2; ++i) {
+    qs.push_back(nl.addNet("q" + std::to_string(i)));
+    pool.push_back(qs.back());
+  }
+  for (int i = 0; i < 40; ++i) {
+    const bool inv = rng.bernoulli(0.4);
+    std::vector<logic::NetId> inputs;
+    while (inputs.size() < (inv ? 1u : 2u)) {
+      const logic::NetId net = pool[rng.uniformInt(pool.size())];
+      if (inputs.empty() || inputs[0] != net) {
+        inputs.push_back(net);
+      }
+    }
+    const logic::NetId out = nl.addNet("n" + std::to_string(i));
+    nl.addGate(inv ? gates::GateKind::kInv : gates::GateKind::kNand2,
+               std::move(inputs), out);
+    pool.push_back(out);
+  }
+  // Two D pins on one net, so a DFF load count of 2 is hit too.
+  nl.addDff(pool[pool.size() - 1], qs[0]);
+  nl.addDff(pool[pool.size() - 7], qs[1]);
+  nl.addDff(pool[pool.size() - 7], nl.addNet("q2"));
+  for (std::size_t i = pool.size() - 3; i < pool.size(); ++i) {
+    nl.markPrimaryOutput(pool[i]);
+  }
+  nl.validate();
+  return nl;
+}
+
+TEST(EstimationPlanTest, MatchesReferenceOnRaggedAxes) {
+  const LeakageLibrary library = raggedLibrary();
+  const logic::LogicNetlist nl = raggedNetlist();
+  std::uint64_t seed = 500;
+  runAllModes(nl, library, "ragged", seed, /*random_patterns=*/8,
+              /*flip_steps=*/40);
+}
+
+TEST(EstimationPlanTest, RejectsMalformedTables) {
+  const logic::LogicNetlist nl = raggedNetlist();
+  const auto compiles = [&](const LeakageLibrary& library) {
+    try {
+      const EstimationPlan plan(nl, library);
+      return true;
+    } catch (const Error&) {
+      return false;
+    }
+  };
+  EXPECT_TRUE(compiles(raggedLibrary()));
+
+  // A surface shaped unlike its axes.
+  LeakageLibrary grid_shape = raggedLibrary();
+  std::vector<VectorTable> nand = grid_shape.tables(gates::GateKind::kNand2);
+  nand[1].gate = Grid2D(3, 4);
+  grid_shape.insert(gates::GateKind::kNand2, nand);
+  EXPECT_FALSE(compiles(grid_shape));
+
+  // A pin-current surface shaped unlike its axes.
+  LeakageLibrary pin_grid_shape = raggedLibrary();
+  nand = pin_grid_shape.tables(gates::GateKind::kNand2);
+  nand[0].pin_current_grid[1] = Grid2D(4, 1);
+  pin_grid_shape.insert(gates::GateKind::kNand2, nand);
+  EXPECT_FALSE(compiles(pin_grid_shape));
+
+  // A pin current missing.
+  LeakageLibrary pins = raggedLibrary();
+  nand = pins.tables(gates::GateKind::kNand2);
+  nand[3].pin_current.pop_back();
+  pins.insert(gates::GateKind::kNand2, nand);
+  EXPECT_FALSE(compiles(pins));
 }
 
 TEST(EstimationPlanTest, RejectsWrongSourceCount) {
@@ -180,7 +421,6 @@ TEST(EstimationPlanTest, RejectsForeignWorkspace) {
 
 TEST(EstimationPlanTest, InvalidateForcesFullReevaluation) {
   const logic::LogicNetlist nl = logic::arrayMultiplier(4);
-  const LeakageEstimator legacy(nl, sharedLibrary());
   const EstimationPlan plan(nl, sharedLibrary());
   EstimationWorkspace ws(plan);
 
@@ -190,7 +430,7 @@ TEST(EstimationPlanTest, InvalidateForcesFullReevaluation) {
   ws.invalidate();
   EXPECT_FALSE(ws.warm());
   pattern[0] = true;
-  expectExactlyEqual(legacy.estimate(pattern),
+  expectExactlyEqual(referenceEstimate(nl, sharedLibrary(), {}, pattern),
                      plan.estimateDelta(pattern, ws), "post-invalidate");
   EXPECT_TRUE(ws.warm());
 }

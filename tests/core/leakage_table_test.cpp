@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace nanoleak::core {
 namespace {
@@ -27,6 +31,48 @@ TEST(AxisTest, LocateClampsAndInterpolates) {
   const auto first = axis.locate(0.5);
   EXPECT_EQ(first.index, 0u);
   EXPECT_DOUBLE_EQ(first.fraction, 0.5);
+}
+
+TEST(AxisTest, LocateMatchesUpperBoundSearch) {
+  // The segment std::upper_bound finds, clamped to the axis, with the
+  // fraction (x - lo) / (hi - lo) - on random axes of 2 to 9 points, at
+  // the points themselves, between them and beyond both ends.
+  Rng rng(42);
+  for (std::size_t n = 2; n <= 9; ++n) {
+    std::vector<double> points{0.0};
+    for (std::size_t i = 1; i < n; ++i) {
+      points.push_back(points.back() + rng.uniform(0.1e-6, 2e-6));
+    }
+    const Axis axis(points);
+    std::vector<double> xs = points;
+    for (int k = 0; k < 64; ++k) {
+      xs.push_back(rng.uniform(-1e-6, points.back() + 1e-6));
+    }
+    for (double x : xs) {
+      const Axis::Location got = axis.locate(x);
+      if (x <= points.front()) {
+        EXPECT_EQ(got.index, 0u);
+        EXPECT_EQ(got.fraction, 0.0);
+      } else if (x >= points.back()) {
+        EXPECT_EQ(got.index, n - 2);
+        EXPECT_EQ(got.fraction, 1.0);
+      } else {
+        const auto index = static_cast<std::size_t>(
+            std::upper_bound(points.begin(), points.end(), x) -
+            points.begin() - 1);
+        EXPECT_EQ(got.index, index) << "x=" << x;
+        EXPECT_EQ(got.fraction, (x - points[index]) /
+                                    (points[index + 1] - points[index]))
+            << "x=" << x;
+      }
+    }
+  }
+  // A negative zero and NaN clamp to the first point: fraction +0.
+  const Axis axis({0.0, 1.0, 3.0});
+  EXPECT_EQ(axis.locate(-0.0).index, 0u);
+  EXPECT_FALSE(std::signbit(axis.locate(-0.0).fraction));
+  EXPECT_EQ(axis.locate(std::nan("")).index, 0u);
+  EXPECT_EQ(axis.locate(std::nan("")).fraction, 0.0);
 }
 
 TEST(AxisTest, SinglePointAxis) {
