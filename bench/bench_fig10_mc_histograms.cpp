@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "engine/accumulator.h"
 #include "engine/batch_runner.h"
 #include "mc/monte_carlo.h"
 #include "util/histogram.h"
@@ -35,21 +34,15 @@ void printComponent(const char* name,
     with.push_back(toNanoAmps(s.with_loading.*member));
     without.push_back(toNanoAmps(s.without_loading.*member));
   }
-  // Shared binning across the union of both samples; the populations fill
-  // mergeable accumulators (the engine's chunk-reduction primitive).
+  // Shared binning across the union of both samples, filled in sample
+  // order on this thread.
   std::vector<double> all = with;
   all.insert(all.end(), without.begin(), without.end());
   const Histogram span = Histogram::fromData(all, 20);
-  engine::HistogramAccumulator acc_with(span.lo(), span.hi(), 20);
-  engine::HistogramAccumulator acc_without(span.lo(), span.hi(), 20);
-  for (double value : with) {
-    acc_with.add(value);
-  }
-  for (double value : without) {
-    acc_without.add(value);
-  }
-  const Histogram& h_with = acc_with.histogram();
-  const Histogram& h_without = acc_without.histogram();
+  Histogram h_with(span.lo(), span.hi(), 20);
+  Histogram h_without(span.lo(), span.hi(), 20);
+  h_with.addAll(with);
+  h_without.addAll(without);
 
   bench::banner(std::string("Fig. 10 ") + name + " leakage histogram [nA]");
   TableWriter table({"bin center [nA]", "no loading", "with loading"});

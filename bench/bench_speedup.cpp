@@ -172,7 +172,7 @@ void runEngineScaling() {
 
     // The determinism contract, checked live: every thread count produces
     // the same population.
-    const double total = result.stats.withLoading().total().mean();
+    const double total = result.summary.mean_with;
     if (threads == 1) {
       reference_total = total;
     } else if (total != reference_total) {

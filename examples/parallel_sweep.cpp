@@ -3,9 +3,10 @@
 // multi-pattern circuit estimate - all on the same thread pool, sharing
 // characterized tables through the corner cache.
 //
-// Every result is bit-identical no matter how many threads run it: work
-// is partitioned into fixed chunks, per-sample RNG streams come from
-// counter-based seeding, and reductions merge in chunk order.
+// Every result is bit-identical no matter how many threads run it: each
+// parallel loop writes index-addressed slots, per-sample RNG streams come
+// from counter-based seeding, and each reduction runs once, in index
+// order, on the calling thread.
 //
 // Usage: example_parallel_sweep [threads]   (0/absent = all hardware)
 #include <cstdlib>

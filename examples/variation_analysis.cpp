@@ -6,7 +6,7 @@
 #include <iostream>
 #include <vector>
 
-#include "mc/monte_carlo.h"
+#include "engine/batch_runner.h"
 #include "util/statistics.h"
 #include "util/table_writer.h"
 #include "util/units.h"
@@ -23,16 +23,19 @@ int main(int argc, char** argv) {
   }
 
   // The paper's Fig. 10 fixture: inverter at input '0' with 6 input- and
-  // 6 output-loading inverters, default sigmas (see mc/variation.h).
-  const mc::MonteCarloEngine engine(device::defaultTechnology(),
-                                    mc::VariationSigmas{},
-                                    mc::McFixtureConfig{});
+  // 6 output-loading inverters, default sigmas (see mc/variation.h),
+  // sampled on all hardware threads.
+  engine::McSweep sweep;
+  sweep.technology = device::defaultTechnology();
+  sweep.samples = samples;
+  sweep.seed = 4242;
+  engine::BatchRunner runner;
   std::cout << "sampling " << samples << " process corners...\n";
-  const auto run = engine.run(samples, 4242);
+  const engine::McBatchResult run = runner.run(sweep);
 
   std::vector<double> with;
   std::vector<double> without;
-  for (const mc::McSample& s : run) {
+  for (const mc::McSample& s : run.samples) {
     with.push_back(toNanoAmps(s.with_loading.total()));
     without.push_back(toNanoAmps(s.without_loading.total()));
   }

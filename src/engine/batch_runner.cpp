@@ -19,7 +19,6 @@ BatchRunner::BatchRunner(BatchOptions options)
       cache_(options_.cache ? options_.cache
                             : std::make_shared<TableCache>()),
       pool_(options_.threads) {
-  require(options_.mc_chunk >= 1, "BatchRunner: mc_chunk must be >= 1");
   require(options_.pattern_chunk >= 1,
           "BatchRunner: pattern_chunk must be >= 1");
 }
@@ -56,17 +55,16 @@ std::vector<GateVectorResult> BatchRunner::run(const GateVectorSweep& sweep) {
 std::vector<CornerResult> BatchRunner::run(const CornerSweep& sweep) {
   require(!sweep.technologies.empty(),
           "BatchRunner: corner sweep needs at least one technology");
+  // Technology-major: corner `index` is (index / temps, index % temps).
   const std::size_t temps =
       std::max<std::size_t>(1, sweep.temperatures_k.size());
-  const SweepSpace space({{"technology", sweep.technologies.size()},
-                          {"temperature", temps}});
-  return map<CornerResult>(space.pointCount(), [&](std::size_t index) {
-    const std::vector<std::size_t> coords = space.coordinates(index);
+  const std::size_t corners = sweep.technologies.size() * temps;
+  return map<CornerResult>(corners, [&](std::size_t index) {
     CornerResult result;
-    result.technology_index = coords[0];
+    result.technology_index = index / temps;
     device::Technology tech = sweep.technologies[result.technology_index];
     if (!sweep.temperatures_k.empty()) {
-      tech.temperature_k = sweep.temperatures_k[coords[1]];
+      tech.temperature_k = sweep.temperatures_k[index % temps];
     }
     result.temperature_k = tech.temperature_k;
     core::LoadingAnalyzer analyzer(sweep.kind, sweep.input_vector, tech);
@@ -84,29 +82,10 @@ McBatchResult BatchRunner::run(const McSweep& sweep) {
   const mc::MonteCarloEngine engine(sweep.technology, sweep.sigmas,
                                     sweep.fixture);
   McBatchResult result;
-  result.samples.resize(sweep.samples);
-
-  // One accumulator per chunk, filled by whichever worker runs the chunk,
-  // merged in ascending chunk order below.
-  const std::size_t chunk = options_.mc_chunk;
-  const std::size_t chunk_count =
-      sweep.samples == 0 ? 0 : (sweep.samples + chunk - 1) / chunk;
-  std::vector<McAccumulator> partials(chunk_count);
-
-  pool_.parallelFor(
-      sweep.samples, chunk, [&](std::size_t begin, std::size_t end) {
-        McAccumulator& partial = partials[begin / chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          util::pollCancel();
-          result.samples[i] = engine.runSample(sweep.seed, i);
-          partial.add(result.samples[i].with_loading,
-                      result.samples[i].without_loading);
-        }
-      });
-
-  for (const McAccumulator& partial : partials) {
-    result.stats.merge(partial);
-  }
+  result.samples = map<mc::McSample>(sweep.samples, [&](std::size_t i) {
+    util::pollCancel();
+    return engine.runSample(sweep.seed, i);
+  });
   result.summary = mc::MonteCarloEngine::summarizeTotals(result.samples);
   return result;
 }
@@ -176,12 +155,6 @@ std::vector<device::LeakageBreakdown> BatchRunner::runPatternTotals(
                    out[i] = plan.estimateDeltaTotal(patterns[i], ws);
                  });
   return out;
-}
-
-std::vector<core::EstimateResult> BatchRunner::runPatterns(
-    const core::LeakageEstimator& estimator,
-    const std::vector<std::vector<bool>>& patterns) {
-  return runPatterns(estimator.plan(), patterns);
 }
 
 }  // namespace nanoleak::engine

@@ -1,16 +1,15 @@
 /// @file
 /// Batch runner: executes sweep jobs over the thread pool.
 ///
-/// Partitioning is deterministic (fixed chunk boundaries, see ThreadPool),
-/// per-point results land in index-addressed slots, and reductions merge
-/// per-chunk accumulators in ascending chunk order - so every result is
-/// bit-identical whether the sweep ran on 1 thread or 16. cache() exposes a
-/// TableCache for workloads that need characterized tables (runPatterns
-/// libraries, repeated corners): entries are immutable and shared, so
-/// workers read them without synchronization. Pattern sweeps follow the
-/// same shape one level up: one immutable core::EstimationPlan shared by
-/// every worker, one core::EstimationWorkspace per thread (see
-/// runPatterns).
+/// One determinism rule: every parallel loop writes index-addressed result
+/// slots, and every reduction then runs once, in index order, on the
+/// calling thread - so every result is bit-identical whether the sweep ran
+/// on 1 thread or 16. cache() exposes a TableCache for workloads that need
+/// characterized tables (runPatterns libraries, repeated corners): entries
+/// are immutable and shared, so workers read them without
+/// synchronization. Pattern sweeps follow the same shape one level up: one
+/// immutable core::EstimationPlan shared by every worker, one
+/// core::EstimationWorkspace per thread (see runPatterns).
 #pragma once
 
 #include <cstddef>
@@ -19,8 +18,6 @@
 #include <vector>
 
 #include "core/estimation_plan.h"
-#include "core/estimator.h"
-#include "engine/accumulator.h"
 #include "engine/sweep.h"
 #include "engine/table_cache.h"
 #include "engine/thread_pool.h"
@@ -32,9 +29,6 @@ namespace nanoleak::engine {
 struct BatchOptions {
   /// Total concurrency including the calling thread; 0 = hardware.
   int threads = 0;
-  /// Monte-Carlo samples per work chunk. Thread-count independent on
-  /// purpose: chunk boundaries define the reduction order.
-  std::size_t mc_chunk = 8;
   /// Input patterns per work chunk in runPatterns. Within a chunk the
   /// worker walks patterns through the plan's incremental delta path
   /// (bit-identical to full evaluation, so chunking never affects
@@ -49,14 +43,12 @@ struct BatchOptions {
 };
 
 /// Everything a Monte-Carlo sweep produces: the per-sample population (in
-/// sample order), the Fig. 11 summary, and chunk-order-merged statistics.
+/// sample order) and its Fig. 11 summary.
 struct McBatchResult {
   /// Per-sample paired decompositions, in sample order.
   std::vector<mc::McSample> samples;
-  /// Fig. 11 mean/sigma/max-shift summary.
+  /// Fig. 11 mean/sigma/max-shift summary, reduced in sample order.
   mc::McSummary summary;
-  /// Chunk-order-merged Welford accumulators.
-  McAccumulator stats;
 };
 
 /// Executes the typed sweep jobs of sweep.h (and shared-plan pattern
@@ -86,7 +78,8 @@ class BatchRunner {
   /// technology-major.
   std::vector<CornerResult> run(const CornerSweep& sweep);
 
-  /// Fig. 10/11 job: counter-seeded Monte-Carlo population.
+  /// Fig. 10/11 job: counter-seeded Monte-Carlo population, sample i =
+  /// runSample(sweep.seed, i).
   McBatchResult run(const McSweep& sweep);
 
   /// Fig. 12 vector-sweep shape: estimates every input pattern against one
@@ -97,11 +90,6 @@ class BatchRunner {
   /// thread count. The plan must outlive the call.
   std::vector<core::EstimateResult> runPatterns(
       const core::EstimationPlan& plan,
-      const std::vector<std::vector<bool>>& patterns);
-
-  /// Facade adapter: runs the estimator's compiled plan (above).
-  std::vector<core::EstimateResult> runPatterns(
-      const core::LeakageEstimator& estimator,
       const std::vector<std::vector<bool>>& patterns);
 
   /// runPatterns() for callers that read only each pattern's total: the

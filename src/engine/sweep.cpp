@@ -1,43 +1,6 @@
 #include "engine/sweep.h"
 
-#include "util/error.h"
-
 namespace nanoleak::engine {
-
-SweepSpace::SweepSpace(std::vector<SweepAxis> axes) : axes_(std::move(axes)) {
-  for (const SweepAxis& axis : axes_) {
-    require(axis.size >= 1, "SweepSpace: axis '" + axis.name + "' is empty");
-    point_count_ *= axis.size;
-  }
-}
-
-const SweepAxis& SweepSpace::axis(std::size_t i) const {
-  require(i < axes_.size(), "SweepSpace::axis: index out of range");
-  return axes_[i];
-}
-
-std::vector<std::size_t> SweepSpace::coordinates(std::size_t linear) const {
-  require(linear < point_count_, "SweepSpace::coordinates: out of range");
-  std::vector<std::size_t> coords(axes_.size(), 0);
-  for (std::size_t i = axes_.size(); i-- > 0;) {
-    coords[i] = linear % axes_[i].size;
-    linear /= axes_[i].size;
-  }
-  return coords;
-}
-
-std::size_t SweepSpace::linearIndex(
-    const std::vector<std::size_t>& coords) const {
-  require(coords.size() == axes_.size(),
-          "SweepSpace::linearIndex: coordinate arity mismatch");
-  std::size_t linear = 0;
-  for (std::size_t i = 0; i < axes_.size(); ++i) {
-    require(coords[i] < axes_[i].size,
-            "SweepSpace::linearIndex: coordinate out of range");
-    linear = linear * axes_[i].size + coords[i];
-  }
-  return linear;
-}
 
 std::vector<std::vector<bool>> allInputVectors(gates::GateKind kind) {
   const int pins = gates::inputCount(kind);

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/loading_analyzer.h"
@@ -19,49 +18,6 @@
 #include "mc/variation.h"
 
 namespace nanoleak::engine {
-
-// ---------------------------------------------------------------------------
-// Generic dense sweep space.
-// ---------------------------------------------------------------------------
-
-/// One axis of a sweep: a display name plus its point count.
-struct SweepAxis {
-  /// Display name ("temperature", "vector", ...).
-  std::string name;
-  /// Number of points on this axis.
-  std::size_t size = 0;
-};
-
-/// Cartesian product of axes with a deterministic row-major linearization
-/// (the LAST axis varies fastest). Gives every sweep point a stable linear
-/// index that partitioning and reduction key off.
-class SweepSpace {
- public:
-  /// An empty axis list: one implicit point.
-  SweepSpace() = default;
-  /// Requires every axis to have at least one point.
-  explicit SweepSpace(std::vector<SweepAxis> axes);
-
-  /// Number of axes.
-  std::size_t axisCount() const { return axes_.size(); }
-  /// Axis `i` (bounds-checked).
-  const SweepAxis& axis(std::size_t i) const;
-  /// Product of axis sizes; 1 for an empty axis list (one implicit point).
-  std::size_t pointCount() const { return point_count_; }
-
-  /// Per-axis coordinates of a linear point index.
-  std::vector<std::size_t> coordinates(std::size_t linear) const;
-  /// Inverse of coordinates().
-  std::size_t linearIndex(const std::vector<std::size_t>& coords) const;
-
- private:
-  std::vector<SweepAxis> axes_;
-  std::size_t point_count_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Typed jobs.
-// ---------------------------------------------------------------------------
 
 /// Fig. 7 workload: loading effect of every listed input vector of a gate,
 /// per pin and at the output, over a grid of loading magnitudes.

@@ -5,7 +5,7 @@
 /// (work stealing off one queue), so uneven per-point cost - e.g. DC solves
 /// that converge in different numbers of sweeps - balances automatically.
 /// Which thread runs a chunk never affects results: callers write into
-/// per-index or per-chunk slots and reduce in fixed chunk order.
+/// per-index slots and reduce them in index order afterwards.
 #pragma once
 
 #include <condition_variable>

@@ -341,7 +341,9 @@ McSample MonteCarloEngine::runOneCompiled(CompiledFixtures& fixtures,
   return sample;
 }
 
-McSample MonteCarloEngine::runOne(VariationSampler& sampler) const {
+McSample MonteCarloEngine::runSample(std::uint64_t seed,
+                                     std::size_t index) const {
+  VariationSampler sampler(sigmas_, deriveStreamSeed(seed, index));
   if (!use_compiled_) {
     return runOneLegacy(sampler);
   }
@@ -351,23 +353,6 @@ McSample MonteCarloEngine::runOne(VariationSampler& sampler) const {
   McSample sample = runOneCompiled(*fixtures, sampler);
   releaseFixtures(std::move(fixtures));
   return sample;
-}
-
-std::vector<McSample> MonteCarloEngine::run(std::size_t samples,
-                                            std::uint64_t seed) const {
-  VariationSampler sampler(sigmas_, seed);
-  std::vector<McSample> results;
-  results.reserve(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    results.push_back(runOne(sampler));
-  }
-  return results;
-}
-
-McSample MonteCarloEngine::runSample(std::uint64_t seed,
-                                     std::size_t index) const {
-  VariationSampler sampler(sigmas_, deriveStreamSeed(seed, index));
-  return runOne(sampler);
 }
 
 McSummary MonteCarloEngine::summarizeTotals(

@@ -63,20 +63,16 @@ class MonteCarloEngine {
   MonteCarloEngine(const MonteCarloEngine&) = delete;
   MonteCarloEngine& operator=(const MonteCarloEngine&) = delete;
 
-  /// Draws and solves `samples` trials. Deterministic for a given seed.
-  /// Samples are drawn from ONE sequential RNG stream, so trial i depends
-  /// on trials 0..i-1 having been drawn first; use runSample() (as
-  /// engine::BatchRunner::run(McSweep) does) when the population must be
-  /// partitionable across threads.
-  std::vector<McSample> run(std::size_t samples, std::uint64_t seed) const;
-
   /// Trial `index` of the population keyed by `seed`. Independent of
   /// every other trial: its RNG stream comes from counter-based seeding
   /// (deriveStreamSeed), so workers may evaluate trials in any order and
-  /// any partitioning yields the same population bit for bit.
+  /// any partitioning yields the same population bit for bit. A
+  /// population is runSample mapped over [0, samples), as
+  /// engine::BatchRunner::run(McSweep) does.
   McSample runSample(std::uint64_t seed, std::size_t index) const;
 
-  /// Summary statistics of total leakage over a run.
+  /// Summary statistics of total leakage over a population, in sample
+  /// order.
   static McSummary summarizeTotals(const std::vector<McSample>& samples);
 
   /// Selects the per-trial solve strategy (see class comment). Not
@@ -87,7 +83,6 @@ class MonteCarloEngine {
  private:
   struct CompiledFixtures;
 
-  McSample runOne(VariationSampler& sampler) const;
   McSample runOneLegacy(VariationSampler& sampler) const;
   McSample runOneCompiled(CompiledFixtures& fixtures,
                           VariationSampler& sampler) const;

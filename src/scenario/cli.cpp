@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iomanip>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -638,16 +639,19 @@ int runOptimizeCommand(const ParsedArgs& args, std::ostream& out) {
   }
 
   beginTracingIfRequested(args);
-  const logic::LogicNetlist netlist = buildCircuit(args.positionals[0]);
-
-  device::Technology tech = technologyForFlavour(args.flavour);
-  tech.temperature_k = args.temp_k;
-  core::EstimatorOptions options;
-  options.with_loading = !args.no_loading;
+  // The command plans exactly like the optimize suite's scenarios, so it
+  // prints the vectors and totals `nanoleak run optimize` pins.
+  Scenario sc;
+  sc.method = Method::kOptimize;
+  sc.circuit = args.positionals[0];
+  sc.flavour = args.flavour;
+  sc.temperature_k = args.temp_k;
+  sc.with_loading = !args.no_loading;
+  const logic::LogicNetlist netlist = buildCircuit(sc.circuit);
   engine::BatchRunner runner(engine::BatchOptions{.threads = args.threads});
-  const core::LeakageLibrary library = runner.cache().library(
-      tech, core::estimationKinds(netlist), {});
-  const core::EstimationPlan plan(netlist, library, options);
+  const std::shared_ptr<const engine::PlanCache::Entry> entry =
+      compiledPlan(sc, netlist, runner);
+  const core::EstimationPlan& plan = *entry->plan;
 
   search::SearchOptions sopts;
   sopts.objective = search::objectiveFromString(args.objective);
@@ -674,7 +678,7 @@ int runOptimizeCommand(const ParsedArgs& args, std::ostream& out) {
       << formatDouble(args.temp_k, 0) << " K, objective "
       << args.objective << ", engine "
       << (result.exact ? "exact" : "heuristic") << ", loading "
-      << (options.with_loading ? "on" : "off") << "\n\n";
+      << (sc.with_loading ? "on" : "off") << "\n\n";
 
   TableWriter summary({"quantity", "value"});
   summary.addRow({"sources", std::to_string(result.vector.size())});

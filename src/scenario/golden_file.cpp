@@ -1,5 +1,7 @@
 #include "scenario/golden_file.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -100,13 +102,36 @@ SuiteResult parseSuite(const std::string& json) {
   return result;
 }
 
+void writeTextFile(const std::string& path, const std::string& content,
+                   const char* what) {
+  const std::string tmp_path =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  {
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    require(out.good(), std::string(what) + ": cannot open '" + tmp_path +
+                            "' for writing");
+    out << content;
+    out.flush();
+    if (!out.good()) {
+      out.close();
+      std::remove(tmp_path.c_str());
+      throw Error(std::string(what) + ": write to '" + tmp_path + "' failed");
+    }
+    out.close();
+    if (out.fail()) {
+      std::remove(tmp_path.c_str());
+      throw Error(std::string(what) + ": close of '" + tmp_path + "' failed");
+    }
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    throw Error(std::string(what) + ": cannot rename '" + tmp_path +
+                "' to '" + path + "'");
+  }
+}
+
 void saveSuiteFile(const std::string& path, const SuiteResult& result) {
-  std::ofstream out(path, std::ios::binary);
-  require(out.good(), "saveSuiteFile: cannot open '" + path +
-                          "' for writing");
-  out << serializeSuite(result);
-  out.flush();
-  require(out.good(), "saveSuiteFile: write to '" + path + "' failed");
+  writeTextFile(path, serializeSuite(result), "saveSuiteFile");
 }
 
 SuiteResult loadSuiteFile(const std::string& path) {

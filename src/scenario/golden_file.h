@@ -30,8 +30,21 @@ std::string serializeSuite(const SuiteResult& result);
 /// malformed JSON and nanoleak::Error on schema violations.
 SuiteResult parseSuite(const std::string& json);
 
-/// File convenience wrappers. saveSuiteFile throws nanoleak::Error when
-/// the path is not writable; loadSuiteFile when it is not readable.
+/// Writes `content` to `path` atomically: the bytes land in a temp file
+/// in the same directory first (`path` + ".tmp." + pid) and are renamed
+/// over the target only after a successful flush and close. Readers
+/// therefore see either the previous complete file or the new complete
+/// file - never a truncated one from a process that died mid-write - and
+/// two processes writing the same target cannot clobber each other's
+/// half-written bytes (last rename wins). Every artifact the CLI writes
+/// (golden files, metrics, traces) goes through here. Throws
+/// nanoleak::Error, prefixed with `what`, when the path is not writable.
+void writeTextFile(const std::string& path, const std::string& content,
+                   const char* what);
+
+/// File convenience wrappers. saveSuiteFile writes through writeTextFile
+/// and throws nanoleak::Error when the path is not writable; loadSuiteFile
+/// when it is not readable.
 void saveSuiteFile(const std::string& path, const SuiteResult& result);
 SuiteResult loadSuiteFile(const std::string& path);
 

@@ -1,10 +1,6 @@
 #include "scenario/metrics_io.h"
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -29,43 +25,6 @@ std::string embedJson(const std::string& block) {
     ++start;
   }
   return block.substr(start);
-}
-
-/// Writes `content` to `path` atomically: the bytes land in a temp file
-/// in the same directory first and are renamed over the target only
-/// after a successful flush+close. Readers (check_obs_artifacts.py, the
-/// serve metrics endpoint) therefore see either the previous complete
-/// file or the new complete file - never a truncated artifact from a
-/// process that died mid-write. The temp name carries the pid so two
-/// processes writing the same target cannot clobber each other's
-/// half-written bytes (last rename wins, both renames are complete
-/// files).
-void writeTextFile(const std::string& path, const std::string& content,
-                   const char* what) {
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    require(out.good(), std::string(what) + ": cannot open '" + tmp_path +
-                            "' for writing");
-    out << content;
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp_path.c_str());
-      throw Error(std::string(what) + ": write to '" + tmp_path + "' failed");
-    }
-    out.close();
-    if (out.fail()) {
-      std::remove(tmp_path.c_str());
-      throw Error(std::string(what) + ": close of '" + tmp_path + "' failed");
-    }
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    throw Error(std::string(what) + ": cannot rename '" + tmp_path +
-                "' to '" + path + "'");
-  }
 }
 
 }  // namespace

@@ -85,37 +85,6 @@ ScenarioResult runGolden(const Scenario& sc,
   return out;
 }
 
-/// The compiled (netlist, library, plan) entry for `sc`'s corner and
-/// options, looked up by content key in `plans` - or, when the caller
-/// passes none, in a call-local cache. A daemon answering from its shared
-/// cache therefore matches a one-shot `nanoleak run` byte for byte: both
-/// run the same builder on identical inputs.
-std::shared_ptr<const engine::PlanCache::Entry> compiledPlan(
-    const Scenario& sc, const logic::LogicNetlist& netlist,
-    engine::BatchRunner& runner, engine::PlanCache* plans) {
-  const device::Technology tech = technologyFor(sc);
-  core::CharacterizationOptions char_options;
-  char_options.solver_path = sc.char_solver_path;
-  core::EstimatorOptions options;
-  options.with_loading = sc.with_loading;
-  engine::PlanCache local;
-  engine::PlanCache& cache = plans != nullptr ? *plans : local;
-  return cache.get(
-      engine::PlanCache::contentKey(netlist, tech, options, char_options),
-      [&] {
-        FAULT_POINT("plan_cache.build");
-        auto entry = std::make_shared<engine::PlanCache::Entry>();
-        entry->netlist = std::make_unique<const logic::LogicNetlist>(netlist);
-        entry->library = std::make_unique<const core::LeakageLibrary>(
-            runner.cache().library(
-                tech, core::estimationKinds(*entry->netlist), char_options));
-        entry->plan = std::make_unique<const core::EstimationPlan>(
-            *entry->netlist, *entry->library, options);
-        return std::shared_ptr<const engine::PlanCache::Entry>(
-            std::move(entry));
-      });
-}
-
 ScenarioResult runEstimate(const Scenario& sc,
                            const logic::LogicNetlist& netlist,
                            const std::vector<std::vector<bool>>& patterns,
@@ -267,6 +236,32 @@ ScenarioResult runOptimize(const Scenario& sc,
 }
 
 }  // namespace
+
+std::shared_ptr<const engine::PlanCache::Entry> compiledPlan(
+    const Scenario& sc, const logic::LogicNetlist& netlist,
+    engine::BatchRunner& runner, engine::PlanCache* plans) {
+  const device::Technology tech = technologyFor(sc);
+  core::CharacterizationOptions char_options;
+  char_options.solver_path = sc.char_solver_path;
+  core::EstimatorOptions options;
+  options.with_loading = sc.with_loading;
+  engine::PlanCache local;
+  engine::PlanCache& cache = plans != nullptr ? *plans : local;
+  return cache.get(
+      engine::PlanCache::contentKey(netlist, tech, options, char_options),
+      [&] {
+        FAULT_POINT("plan_cache.build");
+        auto entry = std::make_shared<engine::PlanCache::Entry>();
+        entry->netlist = std::make_unique<const logic::LogicNetlist>(netlist);
+        entry->library = std::make_unique<const core::LeakageLibrary>(
+            runner.cache().library(
+                tech, core::estimationKinds(*entry->netlist), char_options));
+        entry->plan = std::make_unique<const core::EstimationPlan>(
+            *entry->netlist, *entry->library, options);
+        return std::shared_ptr<const engine::PlanCache::Entry>(
+            std::move(entry));
+      });
+}
 
 const Metric* ScenarioResult::find(const std::string& metric_name) const {
   for (const Metric& metric : metrics) {

@@ -72,6 +72,18 @@ struct RunOptions {
   std::shared_ptr<engine::PlanCache> plan_cache = nullptr;
 };
 
+/// The compiled (netlist, library, plan) entry for `sc`'s corner, loading
+/// option and characterization solver path, looked up by content key in
+/// `plans` - or, when the caller passes none, in a call-local cache. The
+/// estimate and optimize scenarios and `nanoleak optimize` all plan
+/// through here, so a daemon answering from its shared cache, a one-shot
+/// `nanoleak run` and the optimize command match byte for byte: each
+/// compiles the same plan from identical inputs. Tables come from
+/// `runner.cache()`.
+std::shared_ptr<const engine::PlanCache::Entry> compiledPlan(
+    const Scenario& sc, const logic::LogicNetlist& netlist,
+    engine::BatchRunner& runner, engine::PlanCache* plans = nullptr);
+
 /// Executes one scenario on the given runner (sharing its table cache
 /// across scenarios makes repeated corners characterize once). A
 /// non-null `plans` additionally memoizes the compiled EstimationPlan of

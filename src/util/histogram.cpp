@@ -56,16 +56,6 @@ double Histogram::binCenter(std::size_t bin) const {
   return lo_ + (static_cast<double>(bin) + 0.5) * width_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  require(lo_ == other.lo_ && hi_ == other.hi_ &&
-              counts_.size() == other.counts_.size(),
-          "Histogram::merge: binning mismatch");
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
-    counts_[bin] += other.counts_[bin];
-  }
-  total_ += other.total_;
-}
-
 std::size_t Histogram::modeBin() const {
   const auto it = std::max_element(counts_.begin(), counts_.end());
   return static_cast<std::size_t>(it - counts_.begin());

@@ -33,12 +33,6 @@ class Histogram {
   /// Index of the most populated bin (mode).
   std::size_t modeBin() const;
 
-  /// Adds another histogram's counts bin-wise. Requires identical binning
-  /// ([lo, hi) and bin count); the merge is exact, so partial histograms
-  /// built over disjoint sample chunks compose independently of chunk
-  /// execution order.
-  void merge(const Histogram& other);
-
   /// Renders "center count" rows, one per bin, optionally with a bar chart.
   std::string toString(bool with_bars = false) const;
 

@@ -39,26 +39,6 @@ double RunningStats::max() const {
   return max_;
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  const double combined_mean =
-      mean_ + delta * static_cast<double>(other.count_) / total;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ = combined_mean;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
 double quantileSorted(std::span<const double> sorted, double q) {
   require(!sorted.empty(), "quantileSorted: empty sample");
   require(q >= 0.0 && q <= 1.0, "quantileSorted: q out of [0,1]");

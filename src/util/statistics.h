@@ -21,9 +21,6 @@ class RunningStats {
   double min() const;
   double max() const;
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;

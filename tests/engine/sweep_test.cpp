@@ -3,46 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/leakage_table.h"
-#include "util/error.h"
 
 namespace nanoleak::engine {
 namespace {
-
-TEST(SweepSpaceTest, EmptySpaceHasOneImplicitPoint) {
-  const SweepSpace space;
-  EXPECT_EQ(space.pointCount(), 1u);
-  EXPECT_EQ(space.axisCount(), 0u);
-}
-
-TEST(SweepSpaceTest, PointCountIsProductOfAxisSizes) {
-  const SweepSpace space({{"vector", 4}, {"temperature", 7}, {"flavour", 3}});
-  EXPECT_EQ(space.pointCount(), 84u);
-  EXPECT_EQ(space.axis(1).name, "temperature");
-}
-
-TEST(SweepSpaceTest, LastAxisVariesFastest) {
-  const SweepSpace space({{"outer", 2}, {"inner", 3}});
-  EXPECT_EQ(space.coordinates(0), (std::vector<std::size_t>{0, 0}));
-  EXPECT_EQ(space.coordinates(1), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(space.coordinates(3), (std::vector<std::size_t>{1, 0}));
-  EXPECT_EQ(space.coordinates(5), (std::vector<std::size_t>{1, 2}));
-}
-
-TEST(SweepSpaceTest, LinearIndexRoundTrips) {
-  const SweepSpace space({{"a", 3}, {"b", 5}, {"c", 2}});
-  for (std::size_t linear = 0; linear < space.pointCount(); ++linear) {
-    EXPECT_EQ(space.linearIndex(space.coordinates(linear)), linear);
-  }
-}
-
-TEST(SweepSpaceTest, RejectsEmptyAxesAndBadLookups) {
-  EXPECT_THROW(SweepSpace({{"empty", 0}}), Error);
-  const SweepSpace space({{"a", 2}});
-  EXPECT_THROW(space.coordinates(2), Error);
-  EXPECT_THROW(space.linearIndex({2}), Error);
-  EXPECT_THROW(space.linearIndex({0, 0}), Error);
-  EXPECT_THROW(space.axis(1), Error);
-}
 
 TEST(SweepTest, AllInputVectorsFollowVectorIndexOrder) {
   const auto vectors = allInputVectors(gates::GateKind::kNand2);

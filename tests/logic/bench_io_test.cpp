@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "../mutation_fuzz.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
 #include "util/error.h"
@@ -132,6 +136,16 @@ TEST(BenchIoTest, MalformedInputsThrowWithLineNumbers) {
   expectParseErrorAtLine("OUTPUT G9", 1);
   expectParseErrorAtLine("INPUT(a)\nG1 = NAND()", 2);           // no inputs
   expectParseErrorAtLine("INPUT(a)\nINPUT(b)\nG1 = NOT(a, b)", 3);  // arity
+}
+
+TEST(BenchIoTest, MutatedInputsParseOrThrowError) {
+  // Seeded mutation fuzz (tests/mutation_fuzz.h): mutants of a sequential
+  // circuit and of c17's emitted text either parse or throw
+  // nanoleak::Error, never anything else.
+  const std::vector<std::string> inputs = {kTiny, toBenchText(c17())};
+  fuzz::expectParsesOrThrowsError(
+      inputs, "()=,# \t\nGNADOTRXUFIPBQ0123456789", 20050307, 2000,
+      [](const std::string& text) { (void)parseBenchString(text); });
 }
 
 TEST(BenchIoTest, ToBenchTextRejectsKindsWithoutBenchSpelling) {

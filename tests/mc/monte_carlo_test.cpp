@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/error.h"
 #include "util/statistics.h"
 
@@ -11,6 +14,18 @@ namespace {
 MonteCarloEngine makeEngine(VariationSigmas sigmas = VariationSigmas{}) {
   return MonteCarloEngine(device::defaultTechnology(), sigmas,
                           McFixtureConfig{});
+}
+
+/// The `samples`-trial population keyed by `seed`: runSample over the
+/// sample indices in order, the population engine::BatchRunner builds.
+std::vector<McSample> population(const MonteCarloEngine& engine,
+                                 std::size_t samples, std::uint64_t seed) {
+  std::vector<McSample> out;
+  out.reserve(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    out.push_back(engine.runSample(seed, i));
+  }
+  return out;
 }
 
 TEST(MonteCarloTest, RejectsBadConfig) {
@@ -59,8 +74,8 @@ TEST(MonteCarloTest, CompiledFixturesMatchLegacyRebuildPerTrial) {
 
 TEST(MonteCarloTest, DeterministicForSeed) {
   const MonteCarloEngine engine = makeEngine();
-  const auto a = engine.run(10, 77);
-  const auto b = engine.run(10, 77);
+  const auto a = population(engine, 10, 77);
+  const auto b = population(engine, 10, 77);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].with_loading.total(), b[i].with_loading.total());
@@ -77,7 +92,7 @@ TEST(MonteCarloTest, ZeroSigmasCollapseToNominal) {
   zero.sigma_vth_intra = 0.0;
   zero.sigma_vdd = 0.0;
   const MonteCarloEngine engine = makeEngine(zero);
-  const auto samples = engine.run(5, 3);
+  const auto samples = population(engine, 5, 3);
   for (std::size_t i = 1; i < samples.size(); ++i) {
     EXPECT_DOUBLE_EQ(samples[i].with_loading.total(),
                      samples[0].with_loading.total());
@@ -90,7 +105,7 @@ TEST(MonteCarloTest, ZeroSigmasCollapseToNominal) {
 
 TEST(MonteCarloTest, Fig10LoadingShiftsSubthresholdRight) {
   const MonteCarloEngine engine = makeEngine();
-  const auto samples = engine.run(300, 11);
+  const auto samples = population(engine, 300, 11);
   RunningStats sub_with;
   RunningStats sub_without;
   RunningStats gate_with;
@@ -112,7 +127,7 @@ TEST(MonteCarloTest, Fig11LoadingWidensTheSpread) {
   // leakage considerably more than its mean (the paper's sigma_VDD =
   // 333 mV makes the tunneling loading cause strongly sample-dependent).
   const MonteCarloEngine engine = makeEngine();
-  const auto samples = engine.run(400, 13);
+  const auto samples = population(engine, 400, 13);
   const McSummary summary = MonteCarloEngine::summarizeTotals(samples);
   EXPECT_GT(summary.mean_shift_pct, 0.0);
   EXPECT_GT(summary.std_shift_pct, 1.15 * summary.mean_shift_pct);
@@ -123,7 +138,7 @@ TEST(MonteCarloTest, SpreadShiftExceedsMeanShiftAcrossSigmas) {
   for (double sigma_inter : {30e-3, 50e-3}) {
     VariationSigmas sigmas;
     sigmas.sigma_vth_inter = sigma_inter;
-    const auto samples = makeEngine(sigmas).run(300, 17);
+    const auto samples = population(makeEngine(sigmas), 300, 17);
     const McSummary summary = MonteCarloEngine::summarizeTotals(samples);
     EXPECT_GT(summary.std_shift_pct, summary.mean_shift_pct)
         << "sigma_vt_inter=" << sigma_inter;

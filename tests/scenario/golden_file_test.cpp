@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "../mutation_fuzz.h"
 #include "util/error.h"
 
 namespace nanoleak::scenario {
@@ -130,6 +136,48 @@ TEST(GoldenFileTest, FileRoundTripAndMissingFileThrows) {
   EXPECT_THROW(loadSuiteFile("/nonexistent/dir/golden.json"), Error);
   EXPECT_THROW(saveSuiteFile("/nonexistent/dir/golden.json", original),
                Error);
+}
+
+TEST(GoldenFileTest, SavingOverAGoldenReplacesItAtomically) {
+  // saveSuiteFile writes a temp sibling and renames it over the target,
+  // so a killed `nanoleak record` cannot leave a truncated golden behind.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "golden_file_atomic";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "suite.json").string();
+  {
+    // The previous golden is longer than the new one: a write in place
+    // without truncation would leave its tail behind.
+    std::ofstream stale(path, std::ios::binary);
+    stale << std::string(4096, 'x');
+  }
+  const SuiteResult original = sampleSuite();
+  saveSuiteFile(path, original);
+
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), serializeSuite(original));
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"suite.json"});
+}
+
+TEST(GoldenFileTest, MutatedGoldenJsonParsesOrThrowsError) {
+  // Seeded mutation fuzz (tests/mutation_fuzz.h) of a canonical golden
+  // document, an empty suite and a metric-less scenario.
+  SuiteResult empty;
+  empty.suite = "empty";
+  SuiteResult bare = sampleSuite();
+  bare.scenarios[0].metrics.clear();
+  fuzz::expectParsesOrThrowsError(
+      {serializeSuite(sampleSuite()), serializeSuite(empty),
+       serializeSuite(bare)},
+      "{}[]:,\"\\ \n-+.eE0123456789uaemnrv", 20050309, 2000,
+      [](const std::string& text) { (void)parseSuite(text); });
 }
 
 }  // namespace

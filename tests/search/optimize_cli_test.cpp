@@ -88,6 +88,19 @@ TEST(OptimizeCliTest, HeuristicCsvRunReportsRestarts) {
   EXPECT_NE(result.out.find("provably optimal,no"), std::string::npos);
 }
 
+TEST(OptimizeCliTest, PrintsWhatTheOptimizeGoldenPins) {
+  // The command plans like the optimize suite's scenarios, so `nanoleak
+  // optimize c17` reports what tests/golden/optimize.json pins for
+  // optimize/c17/d25s/300K/min: best_vector_lo32 = 18 (sources 1 and 4
+  // high) and best_total_A = 1.6944988688237507e-05.
+  const CliResult result = runCli({"optimize", "c17", "--format", "csv"});
+  ASSERT_EQ(result.exit_code, kExitOk) << result.err;
+  EXPECT_NE(result.out.find("best vector,01001\n"), std::string::npos)
+      << result.out;
+  EXPECT_NE(result.out.find("total [A],1.6945e-05\n"), std::string::npos)
+      << result.out;
+}
+
 TEST(OptimizeCliTest, WritesParseableArtifactsWithSearchCounters) {
   const std::string metrics_path =
       testing::TempDir() + "optimize_metrics.json";

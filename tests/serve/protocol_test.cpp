@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "../mutation_fuzz.h"
 #include "util/error.h"
 
 namespace nanoleak::scenario {
@@ -245,6 +247,45 @@ TEST(ServeProtocolTest, RequestIdIsEchoedThroughEncoding) {
   request.op = ServeOp::kPing;
   const ServeRequest decoded = decodeRequest(encodeRequest(request));
   EXPECT_EQ(decoded.id, "client-42/req-3");
+}
+
+/// JSON syntax plus the digits and letters the frame schema spells with.
+constexpr const char* kJsonAlphabet =
+    "{}[]:,\"\\ \n\t-+.eE0123456789truefalsnopcimdxy_";
+
+TEST(ServeProtocolTest, MutatedRequestsDecodeOrThrowError) {
+  // Seeded mutation fuzz (tests/mutation_fuzz.h) of one valid request per
+  // op, plus the optional deadline/tenant/id fields.
+  const std::vector<std::string> inputs = {
+      wrap("\"op\":\"ping\",\"id\":\"client-1/req-2\""),
+      wrap("\"op\":\"run\",\"target\":\"smoke\""),
+      wrap("\"op\":\"estimate\",\"circuit\":\"c17\",\"vectors\":8,"
+           "\"seed\":3,\"loading\":false,\"deadline_ms\":250,"
+           "\"tenant\":\"team-a\""),
+      wrap("\"op\":\"mc\",\"samples\":32,\"seed\":9,\"flavour\":\"d25s\""),
+      wrap("\"op\":\"thermal\",\"circuit\":\"inv_chain8\",\"tmin\":250,"
+           "\"tmax\":350,\"points\":4"),
+      wrap("\"op\":\"stats\""),
+      wrap("\"op\":\"shutdown\"")};
+  for (const std::string& input : inputs) {
+    ASSERT_EQ(decodeError(input), "") << input;
+  }
+  fuzz::expectParsesOrThrowsError(
+      inputs, kJsonAlphabet, 20050307, 2000,
+      [](const std::string& text) { (void)decodeRequest(text); });
+}
+
+TEST(ServeProtocolTest, MutatedResponsesDecodeOrThrowError) {
+  ServeResponse ok;
+  ok.id = "req-7";
+  ok.payload = "{\"line\":1}\n\"quotes\" and \\backslashes\\";
+  ServeResponse busy;
+  busy.status = ServeStatus::kBusy;
+  busy.message = "admission queue full";
+  busy.retry_after_ms = 300;
+  fuzz::expectParsesOrThrowsError(
+      {encodeResponse(ok), encodeResponse(busy)}, kJsonAlphabet, 20050308,
+      2000, [](const std::string& text) { (void)decodeResponse(text); });
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace nanoleak {
 namespace {
@@ -37,24 +36,6 @@ TEST(RunningStatsTest, StableAtNanoampScale) {
   }
   EXPECT_NEAR(stats.mean(), 1e-9 + 4.5e-12, 1e-18);
   EXPECT_GT(stats.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  Rng rng(5);
-  RunningStats all;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.gaussian(3.0, 2.0);
-    all.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
 
 TEST(QuantileTest, InterpolatesSortedSample) {
