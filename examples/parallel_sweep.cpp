@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
   // --- 3. Pattern sweep over a circuit with a shared cached library -------
   // Estimation is compiled once into an immutable EstimationPlan; the
   // runner shares it across all workers, giving each thread its own
-  // workspace and walking chunks through the incremental delta path.
+  // workspace. A chunk of patterns this far apart (a binary count) runs
+  // through the plan's 8-pattern block kernel; a chunk of 1-bit steps
+  // would walk the incremental delta path instead.
   const logic::LogicNetlist netlist = logic::c17();
   core::CharacterizationOptions options;
   options.kinds = {gates::GateKind::kNand2, gates::GateKind::kInv};

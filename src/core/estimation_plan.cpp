@@ -1,9 +1,11 @@
 #include "core/estimation_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -23,13 +25,15 @@ namespace {
 constexpr std::size_t kDeltaFallbackNum = 1;
 constexpr std::size_t kDeltaFallbackDen = 4;
 
-/// Warm-start quality counters for estimateDelta: which path each call
-/// took. estimate.cold also counts direct estimate() calls.
+/// Evaluation-path counters, one count per pattern: which path each
+/// estimateDelta() call took, plus estimate.cold for direct estimate()
+/// calls and estimate.blocked for patterns the block kernel evaluated.
 struct EstimateMetrics {
   obs::Counter cold = obs::counter("estimate.cold");
   obs::Counter unchanged = obs::counter("estimate.unchanged");
   obs::Counter fallback_full = obs::counter("estimate.fallback_full");
   obs::Counter incremental = obs::counter("estimate.incremental");
+  obs::Counter blocked = obs::counter("estimate.blocked");
 };
 
 const EstimateMetrics& estimateMetrics() {
@@ -37,7 +41,51 @@ const EstimateMetrics& estimateMetrics() {
   return m;
 }
 
+/// Byte i of kSpreadBits[b] is bit i of b: one pin's block value byte
+/// turned into that pin's bit of every pattern's vector index.
+static_assert(kBlockPatterns == 8, "one byte of pin values per block");
+constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
+  std::array<std::uint64_t, 256> spread{};
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      spread[b] |= ((b >> i) & 1) << (8 * i);
+    }
+  }
+  return spread;
+}();
+
+/// Gates per tile of estimateBlock()'s second pass: 160 KB of per-gate
+/// results per pattern, eight patterns' worth within a core's L2.
+constexpr logic::GateId kTileGates = 4096;
+
+/// Pattern i's vector index from a gate's packed block indices.
+std::uint32_t blockVector(std::uint64_t vectors, std::size_t i) {
+  return static_cast<std::uint32_t>((vectors >> (8 * i)) & 0xff);
+}
+
 }  // namespace
+
+bool favoursBlocks(std::span<const std::vector<bool>> patterns) {
+  if (patterns.size() < 2) {
+    return true;
+  }
+  const std::size_t bits = patterns[0].size();
+  const std::size_t needed =
+      (patterns.size() - 1) * bits * kDeltaFallbackNum;
+  std::size_t changed = 0;
+  for (std::size_t i = 1; i < patterns.size(); ++i) {
+    if (patterns[i].size() != bits) {
+      return false;
+    }
+    for (std::size_t b = 0; b < bits; ++b) {
+      changed += patterns[i][b] != patterns[i - 1][b] ? 1 : 0;
+    }
+    if (changed * kDeltaFallbackDen >= needed) {
+      return true;
+    }
+  }
+  return false;
+}
 
 std::vector<gates::GateKind> estimationKinds(
     const logic::LogicNetlist& netlist) {
@@ -142,6 +190,11 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
     for (const logic::PinRef& pin : netlist_.fanout(net)) {
       fanout_slot_[k] = pin_offset_[pin.gate] + static_cast<Index>(pin.pin);
       fanout_gate_[k] = static_cast<Index>(pin.gate);
+      // LogicNetlist::addGate appends fanout in (gate, pin) order; the
+      // block path's injections are only exact while that holds.
+      require(k == fanout_offset_[net] ||
+                  fanout_slot_[k] > fanout_slot_[k - 1],
+              "EstimationPlan: net fanout not in (gate, pin) order");
       ++k;
     }
   }
@@ -304,11 +357,8 @@ void EstimationPlan::refreshGateLoading(EstimationWorkspace& ws,
   estimate.ol = std::abs(ws.net_injection_[gate_output_[g]]);
 }
 
-void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
-                                         GateId g) const {
-  refreshGateLoading(ws, g);
-  GateEstimate& estimate = ws.per_gate_[g];
-  const TableBlock& block = blocks_[ws.block_[g]];
+void EstimationPlan::lookupLeakage(const TableBlock& block,
+                                   GateEstimate& estimate) const {
   // IL and OL are located once for all three components.
   const Bilinear at = locateLoading(block, estimate, 3);
   const double* cells = arena_.data() + block.cells();
@@ -317,11 +367,15 @@ void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
   estimate.leakage.btbt = at(cells + 2);
 }
 
-void EstimationPlan::isolatedGateEstimate(EstimationWorkspace& ws,
-                                          GateId g) const {
-  const double* isolated = arena_.data() + blocks_[ws.block_[g]].offset;
-  ws.per_gate_[g] =
-      GateEstimate{{isolated[0], isolated[1], isolated[2]}, 0.0, 0.0};
+void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
+                                         GateId g) const {
+  refreshGateLoading(ws, g);
+  lookupLeakage(blocks_[ws.block_[g]], ws.per_gate_[g]);
+}
+
+GateEstimate EstimationPlan::isolatedEstimate(const TableBlock& block) const {
+  const double* isolated = arena_.data() + block.offset;
+  return GateEstimate{{isolated[0], isolated[1], isolated[2]}, 0.0, 0.0};
 }
 
 void EstimationPlan::computeAllFromValues(EstimationWorkspace& ws) const {
@@ -331,7 +385,7 @@ void EstimationPlan::computeAllFromValues(EstimationWorkspace& ws) const {
     // (the paper's no-loading baseline).
     for (GateId g = 0; g < gate_count_; ++g) {
       refreshGateVector(ws, g);
-      isolatedGateEstimate(ws, g);
+      ws.per_gate_[g] = isolatedEstimate(blocks_[ws.block_[g]]);
       total += ws.per_gate_[g].leakage;
     }
     ws.total_ = total;
@@ -379,6 +433,7 @@ void EstimationPlan::finishResult(const EstimationWorkspace& ws,
 void EstimationPlan::evaluateFull(const std::vector<bool>& source_values,
                                   EstimationWorkspace& ws) const {
   estimateMetrics().cold.increment();
+  ws.sizeFullPath();
   simulator_.simulateInto(source_values, ws.values_);
   computeAllFromValues(ws);
   ws.warm_ = true;
@@ -450,7 +505,7 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
   if (!options_.with_loading) {
     for (GateId g : ws.dirty_gates_) {
       refreshGateVector(ws, g);
-      isolatedGateEstimate(ws, g);
+      ws.per_gate_[g] = isolatedEstimate(blocks_[ws.block_[g]]);
     }
     resumTotal(ws);
     return;
@@ -525,8 +580,190 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
   resumTotal(ws);
 }
 
+void EstimationPlan::estimateBlock(std::span<const std::vector<bool>> patterns,
+                                   EstimationWorkspace& ws,
+                                   std::span<EstimateResult> out) const {
+  require(out.size() == patterns.size(),
+          "EstimationPlan::estimateBlock: one result per pattern");
+  evaluateBlock(patterns, ws, out.data(), nullptr);
+}
+
+void EstimationPlan::estimateBlockTotals(
+    std::span<const std::vector<bool>> patterns, EstimationWorkspace& ws,
+    std::span<device::LeakageBreakdown> totals) const {
+  require(totals.size() == patterns.size(),
+          "EstimationPlan::estimateBlockTotals: one total per pattern");
+  evaluateBlock(patterns, ws, nullptr, totals.data());
+}
+
+void EstimationPlan::evaluateBlock(std::span<const std::vector<bool>> patterns,
+                                   EstimationWorkspace& ws,
+                                   EstimateResult* out,
+                                   device::LeakageBreakdown* totals) const {
+  checkWorkspace(ws);
+  require(patterns.size() <= kBlockPatterns,
+          "EstimationPlan::estimateBlock: too many patterns for one block");
+  for (const std::vector<bool>& pattern : patterns) {
+    checkSourceCount(pattern.size());
+  }
+  const std::size_t count = patterns.size();
+  if (count == 0) {
+    return;
+  }
+  if (options_.with_loading && options_.propagation_iterations > 1) {
+    // Further propagation levels refine per-pin currents, which the block
+    // scratch does not hold: the single-pattern path runs them.
+    for (std::size_t i = 0; i < count; ++i) {
+      evaluateFull(patterns[i], ws);
+      if (out != nullptr) {
+        finishResult(ws, out[i]);
+      } else {
+        totals[i] = ws.total_;
+      }
+    }
+    return;
+  }
+
+  estimateMetrics().blocked.add(count);
+  if (!ws.block_scratch_) {
+    ws.block_scratch_ = std::make_unique<EstimationWorkspace::BlockScratch>();
+  }
+  EstimationWorkspace::BlockScratch& scratch = *ws.block_scratch_;
+  simulator_.simulateWords(patterns, scratch.values);
+  scatterBlock(count, ws);
+  if (out != nullptr) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i].per_gate.clear();
+      out[i].per_gate.reserve(gate_count_);
+    }
+  }
+
+  // Second pass: each gate's IL/OL and leakage for every pattern, the
+  // totals summed in gate order as computeAllFromValues() sums them. It
+  // runs in tiles of gates, and each result grows by one tile just before
+  // the pass writes it: a result's fresh memory is then initialized while
+  // in cache and first touched in address order. (Sizing the results up
+  // front streams them through memory twice; appending gate by gate
+  // touches the pages of eight results interleaved, which left later,
+  // unrelated work measurably slower.)
+  std::array<device::LeakageBreakdown, kBlockPatterns> total{};
+  const double* arena = arena_.data();
+  const double* injection = scratch.injection.data();
+  for (GateId tile = 0; tile < gate_count_; tile += kTileGates) {
+    const GateId tile_end = std::min(gate_count_, tile + kTileGates);
+    std::array<GateEstimate*, kBlockPatterns> per_gate{};
+    if (out != nullptr) {
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i].per_gate.resize(tile_end);
+        per_gate[i] = out[i].per_gate.data();
+      }
+    }
+    for (GateId g = tile; g < tile_end; ++g) {
+      const std::uint64_t vectors = scratch.vectors[g];
+      std::array<const TableBlock*, kBlockPatterns> block;
+      for (std::size_t i = 0; i < count; ++i) {
+        block[i] = &blocks_[gate_block_[g] + blockVector(vectors, i)];
+      }
+      std::array<GateEstimate, kBlockPatterns> estimate;
+      if (!options_.with_loading) {
+        for (std::size_t i = 0; i < count; ++i) {
+          estimate[i] = isolatedEstimate(*block[i]);
+        }
+      } else {
+        // refreshGateLoading() per pattern: each pin sees its net minus its
+        // own nominal current.
+        for (std::size_t slot = pin_offset_[g]; slot < pin_offset_[g + 1];
+             ++slot) {
+          if (!pin_loadable_[slot]) {
+            continue;
+          }
+          const double* net = injection + pin_net_[slot] * kBlockPatterns;
+          const std::size_t pin = slot - pin_offset_[g];
+          for (std::size_t i = 0; i < count; ++i) {
+            estimate[i].il +=
+                std::abs(net[i] - arena[block[i]->pinCurrent() + pin]);
+          }
+        }
+        const double* output = injection + gate_output_[g] * kBlockPatterns;
+        for (std::size_t i = 0; i < count; ++i) {
+          estimate[i].ol = std::abs(output[i]);
+          lookupLeakage(*block[i], estimate[i]);
+        }
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        total[i] += estimate[i].leakage;
+        if (out != nullptr) {
+          per_gate[i][g] = estimate[i];
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (out != nullptr) {
+      out[i].total = total[i];
+    } else {
+      totals[i] = total[i];
+    }
+  }
+}
+
+void EstimationPlan::scatterBlock(std::size_t count,
+                                  EstimationWorkspace& ws) const {
+  EstimationWorkspace::BlockScratch& scratch = *ws.block_scratch_;
+  const std::uint64_t* values = scratch.values.data();
+  scratch.vectors.resize(gate_count_);
+  if (options_.with_loading) {
+    scratch.injection.assign(net_count_ * kBlockPatterns, 0.0);
+  }
+  const double* arena = arena_.data();
+  double* injection = scratch.injection.data();
+  for (GateId g = 0; g < gate_count_; ++g) {
+    const std::size_t first = pin_offset_[g];
+    const std::size_t pins = pin_offset_[g + 1] - first;
+    std::uint64_t vectors = 0;
+    for (std::size_t pin = 0; pin < pins; ++pin) {
+      vectors |= kSpreadBits[values[pin_net_[first + pin]] & 0xff] << pin;
+    }
+    scratch.vectors[g] = vectors;
+    if (!options_.with_loading) {
+      continue;
+    }
+    // Gates ascending, pins ascending: each net receives its pin currents
+    // in fanout order, as netInjection() adds them.
+    std::array<const double*, kBlockPatterns> nominal;
+    for (std::size_t i = 0; i < count; ++i) {
+      const TableBlock& block =
+          blocks_[gate_block_[g] + blockVector(vectors, i)];
+      nominal[i] = arena + block.pinCurrent();
+    }
+    for (std::size_t pin = 0; pin < pins; ++pin) {
+      double* net = injection + pin_net_[first + pin] * kBlockPatterns;
+      for (std::size_t i = 0; i < count; ++i) {
+        net[i] += nominal[i][pin];
+      }
+    }
+  }
+  if (options_.with_loading && has_dffs_) {
+    // The DFF term after the fanout sum, on every net (a load count of 0
+    // included), as netInjection() adds it.
+    for (NetId net = 0; net < net_count_; ++net) {
+      const double loads = static_cast<double>(dff_load_count_[net]);
+      double* row = injection + net * kBlockPatterns;
+      for (std::size_t i = 0; i < count; ++i) {
+        row[i] += loads * dff_pin_current_[(values[net] >> i) & 1];
+      }
+    }
+  }
+}
+
 EstimationWorkspace::EstimationWorkspace(const EstimationPlan& plan)
-    : plan_(&plan) {
+    : plan_(&plan) {}
+
+void EstimationWorkspace::sizeFullPath() {
+  if (full_path_sized_) {
+    return;
+  }
+  const EstimationPlan& plan = *plan_;
   values_.resize(plan.net_count_);
   block_.resize(plan.gate_count_);
   pin_current_.resize(plan.pin_net_.size());
@@ -539,6 +776,7 @@ EstimationWorkspace::EstimationWorkspace(const EstimationPlan& plan)
   touched_gates_.reserve(plan.gate_count_);
   changed_nets_.reserve(plan.net_count_);
   dirty_nets_.reserve(plan.net_count_);
+  full_path_sized_ = true;
 }
 
 }  // namespace nanoleak::core

@@ -16,8 +16,12 @@
 /// net neighbourhoods. A workspace belongs to one thread at a time: share
 /// the plan, give each thread its own workspace.
 ///
-/// Both execution paths are bit-identical to evaluating Fig. 13 directly
-/// over VectorTable::lookup / pinCurrentAt: the arena lookup runs the same
+/// estimateBlock() is the third path, for runs of unrelated patterns: it
+/// evaluates kBlockPatterns patterns at once, gate-major, from one
+/// bit-parallel logic simulation.
+///
+/// All three paths are bit-identical to evaluating Fig. 13 directly over
+/// VectorTable::lookup / pinCurrentAt: the arena lookup runs the same
 /// locateOnAxis and Bilinear arithmetic on copies of the same values, and
 /// plan compilation only moves work, it never reorders a floating-point
 /// operation.
@@ -25,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/leakage_table.h"
@@ -62,6 +68,17 @@ struct EstimateResult {
 };
 
 class EstimationWorkspace;
+
+/// Patterns EstimationPlan::estimateBlock() evaluates together. Its block
+/// scratch holds this many injections per net.
+inline constexpr std::size_t kBlockPatterns = 8;
+
+/// True when `patterns`, walked in order, change on average at least the
+/// share of source bits at which estimateDelta() stops paying off (a
+/// quarter, the share of dirty gates at which it falls back to full
+/// evaluation): such runs go to estimateBlock(). Runs of fewer than two
+/// patterns count as such; patterns of unequal length do not.
+bool favoursBlocks(std::span<const std::vector<bool>> patterns);
 
 /// Gate kinds a netlist's estimation library must cover, in enum order
 /// (stable across runs, so characterization order - and the table cache's
@@ -129,6 +146,26 @@ class EstimationPlan {
   device::LeakageBreakdown estimateDeltaTotal(
       const std::vector<bool>& source_values, EstimationWorkspace& ws) const;
 
+  /// Full evaluation of up to kBlockPatterns patterns at once, gate-major:
+  /// one bit-parallel logic simulation of the block, one gate pass that
+  /// selects every (gate, pattern) table and scatters its nominal pin
+  /// currents into per-(net, pattern) injections, and one that computes
+  /// IL/OL and looks up each gate's leakage for every pattern. out[i] is
+  /// bit-identical to estimate(patterns[i]). Plans with
+  /// propagation_iterations > 1 evaluate pattern by pattern through the
+  /// workspace's full path. The workspace's estimateDelta() state stays
+  /// valid. Allocation-free once the workspace's block scratch and every
+  /// out[i] have warmed up.
+  void estimateBlock(std::span<const std::vector<bool>> patterns,
+                     EstimationWorkspace& ws,
+                     std::span<EstimateResult> out) const;
+  /// estimateBlock() for callers that read only the whole-circuit totals:
+  /// totals[i] is bit-identical to estimate(patterns[i]).total, and no
+  /// per-gate result is written.
+  void estimateBlockTotals(std::span<const std::vector<bool>> patterns,
+                           EstimationWorkspace& ws,
+                           std::span<device::LeakageBreakdown> totals) const;
+
  private:
   friend class EstimationWorkspace;
 
@@ -143,6 +180,16 @@ class EstimationPlan {
   /// estimateDelta() and estimateDeltaTotal().
   void evaluateDelta(const std::vector<bool>& source_values,
                      EstimationWorkspace& ws) const;
+  /// Checked block evaluation; the shared body of estimateBlock() (per-gate
+  /// results and totals into `out`) and estimateBlockTotals() (`out` null,
+  /// totals into `totals`).
+  void evaluateBlock(std::span<const std::vector<bool>> patterns,
+                     EstimationWorkspace& ws, EstimateResult* out,
+                     device::LeakageBreakdown* totals) const;
+  /// The block path's first gate pass: every gate's vector index per
+  /// pattern into the block scratch, and (with loading) the block's
+  /// per-(net, pattern) injections.
+  void scatterBlock(std::size_t count, EstimationWorkspace& ws) const;
   /// Table block of one gate from current net values.
   void refreshGateVector(EstimationWorkspace& ws, logic::GateId g) const;
   /// The nominal pin currents of one gate's table into its pin slots.
@@ -159,12 +206,14 @@ class EstimationPlan {
   /// IL/OL of one gate from current injections and pin currents (the
   /// paper's IL-IN rule).
   void refreshGateLoading(EstimationWorkspace& ws, logic::GateId g) const;
-  /// refreshGateLoading + arena lookup into the per-gate result: the
-  /// single per-gate step of the full and the delta paths, so they cannot
-  /// drift.
+  /// refreshGateLoading + lookupLeakage into the per-gate result: the
+  /// per-gate step of the full and the delta paths.
   void refreshGateEstimate(EstimationWorkspace& ws, logic::GateId g) const;
-  /// The isolated (no-loading) estimate of one gate's table.
-  void isolatedGateEstimate(EstimationWorkspace& ws, logic::GateId g) const;
+  /// The leakage of a block's table at the estimate's (IL, OL): the one
+  /// lookup of every path, so they cannot drift.
+  void lookupLeakage(const TableBlock& block, GateEstimate& estimate) const;
+  /// The isolated (no-loading) estimate of a block's table.
+  GateEstimate isolatedEstimate(const TableBlock& block) const;
   /// Net injection from current pin currents and values.
   double netInjection(const EstimationWorkspace& ws, logic::NetId net) const;
   /// Injections of every net.
@@ -197,7 +246,9 @@ class EstimationPlan {
   std::vector<Index> gate_output_;
 
   // CSR net fanout: entry k in [fanout_offset_[net], fanout_offset_[net+1])
-  // is the flat pin slot fanout_slot_[k] of gate fanout_gate_[k].
+  // is the flat pin slot fanout_slot_[k] of gate fanout_gate_[k], in
+  // ascending slot order, i.e. (gate, pin) order. The block path scatters
+  // pin currents in that order, so its injections sum like netInjection().
   std::vector<Index> fanout_offset_;
   std::vector<Index> fanout_slot_;
   std::vector<Index> fanout_gate_;
@@ -244,7 +295,10 @@ class EstimationPlan {
 /// Reusable per-thread execution buffers for one EstimationPlan.
 class EstimationWorkspace {
  public:
-  /// Sizes every buffer for `plan` (which must outlive the workspace).
+  /// Binds the workspace to `plan` (which must outlive it). The buffers of
+  /// the full/delta paths and of the block path are sized on each path's
+  /// first use, so a workspace that only ever runs blocks holds no
+  /// per-gate state.
   explicit EstimationWorkspace(const EstimationPlan& plan);
 
   /// The plan this workspace was sized for.
@@ -259,8 +313,12 @@ class EstimationWorkspace {
  private:
   friend class EstimationPlan;
 
+  /// Sizes the full/delta-path buffers once (evaluateFull's first call).
+  void sizeFullPath();
+
   const EstimationPlan* plan_;
   bool warm_ = false;
+  bool full_path_sized_ = false;
 
   // SoA execution state (persisted between calls for the delta path).
   std::vector<bool> values_;
@@ -269,6 +327,16 @@ class EstimationWorkspace {
   std::vector<double> net_injection_;
   std::vector<GateEstimate> per_gate_;
   device::LeakageBreakdown total_;
+
+  // Block-path scratch (estimateBlock), made on first use: per net its
+  // value word (bit i = pattern i) and kBlockPatterns injections; per gate
+  // its patterns' vector indices, one byte each.
+  struct BlockScratch {
+    std::vector<std::uint64_t> values;
+    std::vector<double> injection;
+    std::vector<std::uint64_t> vectors;
+  };
+  std::unique_ptr<BlockScratch> block_scratch_;
 
   // Delta-path scratch.
   logic::DeltaSimScratch sim_scratch_;

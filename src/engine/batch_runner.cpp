@@ -91,9 +91,12 @@ McBatchResult BatchRunner::run(const McSweep& sweep) {
 }
 
 void BatchRunner::forEachPattern(
-    const core::EstimationPlan& plan, std::size_t count,
+    const core::EstimationPlan& plan,
+    const std::vector<std::vector<bool>>& patterns,
+    const std::function<void(std::size_t, std::size_t,
+                             core::EstimationWorkspace&)>& block,
     const std::function<void(std::size_t, core::EstimationWorkspace&)>&
-        visit) {
+        walk) {
   OBS_SPAN("engine.run_patterns");
   static const obs::Counter workspaces_created =
       obs::counter("engine.workspaces_created");
@@ -124,25 +127,41 @@ void BatchRunner::forEachPattern(
     free_list.push_back(std::move(ws));
   };
 
-  pool_.parallelFor(count, options_.pattern_chunk,
-                    [&](std::size_t begin, std::size_t end) {
-                      auto ws = acquire();
-                      for (std::size_t i = begin; i < end; ++i) {
-                        util::pollCancel();
-                        visit(i, *ws);
-                      }
-                      release(std::move(ws));
-                    });
+  const std::span<const std::vector<bool>> all(patterns);
+  pool_.parallelFor(
+      patterns.size(), options_.pattern_chunk,
+      [&](std::size_t begin, std::size_t end) {
+        auto ws = acquire();
+        if (core::favoursBlocks(all.subspan(begin, end - begin))) {
+          for (std::size_t i = begin; i < end; i += core::kBlockPatterns) {
+            util::pollCancel();
+            block(i, std::min(end, i + core::kBlockPatterns), *ws);
+          }
+        } else {
+          for (std::size_t i = begin; i < end; ++i) {
+            util::pollCancel();
+            walk(i, *ws);
+          }
+        }
+        release(std::move(ws));
+      });
 }
 
 std::vector<core::EstimateResult> BatchRunner::runPatterns(
     const core::EstimationPlan& plan,
     const std::vector<std::vector<bool>>& patterns) {
   std::vector<core::EstimateResult> out(patterns.size());
-  forEachPattern(plan, patterns.size(),
-                 [&](std::size_t i, core::EstimationWorkspace& ws) {
-                   plan.estimateDelta(patterns[i], ws, out[i]);
-                 });
+  const std::span<const std::vector<bool>> in(patterns);
+  const std::span<core::EstimateResult> results(out);
+  forEachPattern(
+      plan, patterns,
+      [&](std::size_t begin, std::size_t end, core::EstimationWorkspace& ws) {
+        plan.estimateBlock(in.subspan(begin, end - begin), ws,
+                           results.subspan(begin, end - begin));
+      },
+      [&](std::size_t i, core::EstimationWorkspace& ws) {
+        plan.estimateDelta(patterns[i], ws, out[i]);
+      });
   return out;
 }
 
@@ -150,10 +169,17 @@ std::vector<device::LeakageBreakdown> BatchRunner::runPatternTotals(
     const core::EstimationPlan& plan,
     const std::vector<std::vector<bool>>& patterns) {
   std::vector<device::LeakageBreakdown> out(patterns.size());
-  forEachPattern(plan, patterns.size(),
-                 [&](std::size_t i, core::EstimationWorkspace& ws) {
-                   out[i] = plan.estimateDeltaTotal(patterns[i], ws);
-                 });
+  const std::span<const std::vector<bool>> in(patterns);
+  const std::span<device::LeakageBreakdown> totals(out);
+  forEachPattern(
+      plan, patterns,
+      [&](std::size_t begin, std::size_t end, core::EstimationWorkspace& ws) {
+        plan.estimateBlockTotals(in.subspan(begin, end - begin), ws,
+                                 totals.subspan(begin, end - begin));
+      },
+      [&](std::size_t i, core::EstimationWorkspace& ws) {
+        out[i] = plan.estimateDeltaTotal(patterns[i], ws);
+      });
   return out;
 }
 

@@ -29,10 +29,12 @@ namespace nanoleak::engine {
 struct BatchOptions {
   /// Total concurrency including the calling thread; 0 = hardware.
   int threads = 0;
-  /// Input patterns per work chunk in runPatterns. Within a chunk the
-  /// worker walks patterns through the plan's incremental delta path
-  /// (bit-identical to full evaluation, so chunking never affects
-  /// results).
+  /// Input patterns per work chunk in runPatterns. A chunk whose
+  /// consecutive patterns differ in many bits (core::favoursBlocks) is
+  /// evaluated core::kBlockPatterns at a time by the plan's block kernel;
+  /// any other chunk, such as a 1-bit walk, walks its patterns through the
+  /// incremental delta path. Both are bit-identical to full evaluation, so
+  /// chunking never affects results.
   std::size_t pattern_chunk = 32;
   /// Characterization cache this runner records into. Null (the default)
   /// gives the runner a private cache - the historical behaviour. A
@@ -85,17 +87,20 @@ class BatchRunner {
   /// Fig. 12 vector-sweep shape: estimates every input pattern against one
   /// shared immutable EstimationPlan. Each worker draws an
   /// EstimationWorkspace from a small pool (at most one per thread in
-  /// steady state) and walks its chunk through the incremental delta path;
-  /// results are bit-identical to plan.estimate() per pattern at any
-  /// thread count. The plan must outlive the call.
+  /// steady state) and runs its chunk through the plan's block kernel
+  /// (estimateBlock) when the chunk's patterns are far apart, or walks it
+  /// through the incremental delta path when they are close (see
+  /// BatchOptions::pattern_chunk); results are bit-identical to
+  /// plan.estimate() per pattern at any thread count. The plan must
+  /// outlive the call.
   std::vector<core::EstimateResult> runPatterns(
       const core::EstimationPlan& plan,
       const std::vector<std::vector<bool>>& patterns);
 
   /// runPatterns() for callers that read only each pattern's total: the
-  /// same chunks, workspace pool and delta path, without copying per-gate
-  /// results out. Element i is bit-identical to runPatterns()[i].total at
-  /// any thread count.
+  /// same chunks, workspace pool and path choice, without writing per-gate
+  /// results. Element i is bit-identical to runPatterns()[i].total at any
+  /// thread count.
   std::vector<device::LeakageBreakdown> runPatternTotals(
       const core::EstimationPlan& plan,
       const std::vector<std::vector<bool>>& patterns);
@@ -117,12 +122,17 @@ class BatchRunner {
 
  private:
   /// The pattern-sweep loop shared by runPatterns() and runPatternTotals():
-  /// visit(i, ws) for every i in [0, count), pattern_chunk indices per
-  /// chunk, each chunk on one workspace drawn from a per-call pool.
+  /// pattern_chunk indices per chunk, each chunk on one workspace drawn
+  /// from a per-call pool. A chunk whose patterns core::favoursBlocks()
+  /// goes to block(begin, end, ws) in runs of at most core::kBlockPatterns,
+  /// any other to walk(i, ws) one index at a time.
   void forEachPattern(
-      const core::EstimationPlan& plan, std::size_t count,
+      const core::EstimationPlan& plan,
+      const std::vector<std::vector<bool>>& patterns,
+      const std::function<void(std::size_t, std::size_t,
+                               core::EstimationWorkspace&)>& block,
       const std::function<void(std::size_t, core::EstimationWorkspace&)>&
-          visit);
+          walk);
 
   BatchOptions options_;
   std::shared_ptr<TableCache> cache_;

@@ -1,6 +1,7 @@
 #include "logic/logic_sim.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <string>
@@ -78,6 +79,27 @@ bool LogicSimulator::evaluate(std::size_t pos,
   return ((truth_[pos] >> index) & 1u) != 0;
 }
 
+std::uint64_t LogicSimulator::evaluateWord(
+    std::size_t pos, const std::vector<std::uint64_t>& words) const {
+  const std::uint32_t begin = input_offset_[pos];
+  const std::uint32_t arity = input_offset_[pos + 1] - begin;
+  // Shannon expansion of the truth word, lowest pin first: entry v starts
+  // all ones where the gate outputs 1 for input vector v, and each pin
+  // then merges the entry pairs that differ only in its bit.
+  std::array<std::uint64_t, std::size_t{1} << kMaxArity> f;
+  const std::uint32_t vectors = 1u << arity;
+  for (std::uint32_t v = 0; v < vectors; ++v) {
+    f[v] = std::uint64_t{0} - ((truth_[pos] >> v) & 1u);
+  }
+  for (std::uint32_t pin = 0; pin < arity; ++pin) {
+    const std::uint64_t x = words[input_net_[begin + pin]];
+    for (std::uint32_t j = 0; j < vectors >> (pin + 1); ++j) {
+      f[j] = (x & f[2 * j + 1]) | (~x & f[2 * j]);
+    }
+  }
+  return f[0];
+}
+
 std::vector<bool> LogicSimulator::simulate(
     const std::vector<bool>& source_values) const {
   std::vector<bool> values;
@@ -94,6 +116,26 @@ void LogicSimulator::simulateInto(const std::vector<bool>& source_values,
   }
   for (std::size_t pos = 0; pos < truth_.size(); ++pos) {
     values[output_net_[pos]] = evaluate(pos, values);
+  }
+}
+
+void LogicSimulator::simulateWords(std::span<const std::vector<bool>> patterns,
+                                   std::vector<std::uint64_t>& words) const {
+  require(patterns.size() <= 64,
+          "LogicSimulator::simulateWords: at most 64 patterns");
+  for (const std::vector<bool>& pattern : patterns) {
+    checkSourceCount(pattern.size());
+  }
+  words.assign(net_count_, 0);
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    std::uint64_t word = 0;
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+      word |= std::uint64_t{patterns[p][i]} << p;
+    }
+    words[sources_[i]] = word;
+  }
+  for (std::size_t pos = 0; pos < truth_.size(); ++pos) {
+    words[output_net_[pos]] = evaluateWord(pos, words);
   }
 }
 

@@ -3,9 +3,11 @@
 // paper's Fig. 13 flow).
 //
 // Besides the one-shot simulate(), the simulator offers an allocation-free
-// simulateInto() for reused buffers and an event-driven simulateDelta()
-// that re-simulates only the fanout cone of the source bits that changed -
-// the building block of the estimation plan's incremental re-estimation.
+// simulateInto() for reused buffers, a bit-parallel simulateWords() that
+// evaluates up to 64 patterns at once (the estimation plan's pattern
+// blocks), and an event-driven simulateDelta() that re-simulates only the
+// fanout cone of the source bits that changed - the building block of the
+// estimation plan's incremental re-estimation.
 //
 // Construction compiles the netlist into topologically ordered CSR arrays
 // (per-gate truth word from gates::truthTable, input nets, output net, net
@@ -15,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "logic/logic_netlist.h"
@@ -43,6 +46,13 @@ class LogicSimulator {
   /// the netlist's net count); no allocation once the buffer has capacity.
   void simulateInto(const std::vector<bool>& source_values,
                     std::vector<bool>& values) const;
+
+  /// Bit-parallel simulateInto() of up to 64 patterns: bit i of
+  /// words[net] is the net's value under patterns[i]; the bits from
+  /// patterns.size() up hold the all-zero pattern. Resizes `words` to the
+  /// net count; no allocation once it has capacity.
+  void simulateWords(std::span<const std::vector<bool>> patterns,
+                     std::vector<std::uint64_t>& words) const;
 
   /// Event-driven incremental re-simulation. `values` must hold this
   /// netlist's per-net values for some earlier source pattern (as produced
@@ -73,6 +83,9 @@ class LogicSimulator {
   void checkSourceCount(std::size_t got) const;
   /// Output of the gate at topological position `pos` for current values.
   bool evaluate(std::size_t pos, const std::vector<bool>& values) const;
+  /// evaluate() on 64 patterns at once, one bit each.
+  std::uint64_t evaluateWord(std::size_t pos,
+                             const std::vector<std::uint64_t>& words) const;
 
   std::size_t net_count_ = 0;
   std::vector<GateId> order_;

@@ -1,13 +1,15 @@
 // Allocation regression for the estimation hot path: once its buffers are
-// warm, a table lookup, a logic simulation and every estimate outcome must
-// run without touching the heap. The suite replaces the global operator
-// new to count calls, which is why it is a test binary of its own.
+// warm, a table lookup, a logic simulation, every estimate outcome and a
+// pattern block must run without touching the heap. The suite replaces
+// the global operator new to count calls, which is why it is a test
+// binary of its own.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "core/characterizer.h"
@@ -173,6 +175,38 @@ TEST(AllocationTest, EstimateDeltaOnEveryOutcome) {
         << step.outcome;
     EXPECT_EQ(obs::counterValue(step.outcome), before + 1) << step.outcome;
   }
+}
+
+TEST(AllocationTest, EstimateBlockOnceWarm) {
+  const core::EstimationPlan plan(netlist(), library());
+  core::EstimationWorkspace ws(plan);
+  Rng rng(12);
+  std::vector<std::vector<bool>> warm_up, block;
+  for (std::size_t i = 0; i < core::kBlockPatterns; ++i) {
+    warm_up.push_back(logic::randomPattern(plan.sourceCount(), rng));
+    block.push_back(logic::randomPattern(plan.sourceCount(), rng));
+  }
+  std::vector<core::EstimateResult> out(block.size());
+  std::vector<device::LeakageBreakdown> totals(block.size());
+  // Warm-up: sizes the block scratch and every out[i].
+  plan.estimateBlock(warm_up, ws, out);
+  const std::uint64_t blocked = obs::counterValue("estimate.blocked");
+  EXPECT_EQ(allocationsIn([&] { plan.estimateBlock(block, ws, out); }), 0u);
+  EXPECT_EQ(allocationsIn([&] {
+              plan.estimateBlockTotals(block, ws, totals);
+            }),
+            0u);
+  // A partial block reuses the same scratch.
+  const std::span<const std::vector<bool>> three =
+      std::span<const std::vector<bool>>(block).first(3);
+  EXPECT_EQ(allocationsIn([&] {
+              plan.estimateBlock(three, ws, std::span(out).first(3));
+            }),
+            0u);
+  EXPECT_EQ(obs::counterValue("estimate.blocked"),
+            blocked + 2 * core::kBlockPatterns + 3);
+  EXPECT_EQ(out[0].total.total(), totals[0].total());
+  EXPECT_GT(totals[0].total(), 0.0);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
 // Equivalence contract of the compile-once / execute-many split: the
-// EstimationPlan + EstimationWorkspace paths (full and incremental delta)
-// are bit-identical, on every LeakageBreakdown field and IL/OL of every
-// gate, to an independent reference that evaluates the paper's Fig. 13
-// directly from the netlist and the library's VectorTables - across
-// randomized circuits, patterns, single-bit-flip walks, propagation
-// iteration counts, DFF-bearing netlists, the no-loading mode, and a
-// hand-built library whose vectors have different axis lengths.
+// EstimationPlan + EstimationWorkspace paths (full, incremental delta and
+// pattern block) are bit-identical, on every LeakageBreakdown field and
+// IL/OL of every gate, to an independent reference that evaluates the
+// paper's Fig. 13 directly from the netlist and the library's
+// VectorTables - across randomized circuits, patterns, single-bit-flip
+// walks, full and partial pattern blocks, propagation iteration counts,
+// DFF-bearing netlists, the no-loading mode, and a hand-built library
+// whose vectors have different axis lengths.
 #include "core/estimation_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -170,6 +173,36 @@ void runEquivalence(const logic::LogicNetlist& netlist,
                        context + " delta/same pattern " + std::to_string(i));
   }
 
+  // Pattern blocks: one full block and a partial one, per-gate and
+  // totals-only, on the reused workspace.
+  std::vector<std::vector<bool>> batch;
+  for (std::size_t i = 0; i < kBlockPatterns + 3; ++i) {
+    batch.push_back(logic::randomPattern(plan.sourceCount(), rng));
+  }
+  const std::span<const std::vector<bool>> all(batch);
+  std::vector<EstimateResult> blocked(batch.size());
+  std::vector<device::LeakageBreakdown> totals(batch.size());
+  for (std::size_t first = 0; first < batch.size(); first += kBlockPatterns) {
+    const std::size_t count =
+        std::min(kBlockPatterns, batch.size() - first);
+    plan.estimateBlock(all.subspan(first, count), ws,
+                       std::span(blocked).subspan(first, count));
+    plan.estimateBlockTotals(all.subspan(first, count), ws,
+                             std::span(totals).subspan(first, count));
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const EstimateResult expected = reference(batch[i]);
+    const std::string where = context + " block pattern " + std::to_string(i);
+    expectExactlyEqual(expected, blocked[i], where);
+    EXPECT_EQ(expected.total.subthreshold, totals[i].subthreshold) << where;
+    EXPECT_EQ(expected.total.gate, totals[i].gate) << where;
+    EXPECT_EQ(expected.total.btbt, totals[i].btbt) << where;
+  }
+  // The blocks left the workspace's delta state valid.
+  plan.estimateDelta(batch.back(), ws, plan_result);
+  expectExactlyEqual(reference(batch.back()), plan_result,
+                     context + " delta after blocks");
+
   // Single-bit-flip walk: the delta path's home turf.
   std::vector<bool> pattern = logic::randomPattern(plan.sourceCount(), rng);
   plan.estimate(pattern, ws, plan_result);
@@ -252,6 +285,67 @@ TEST(EstimationPlanTest, MatchesReferenceOnDffBoundary) {
   std::uint64_t seed = 99;
   runAllModes(nl, sharedLibrary(), "dff_pair", seed, /*random_patterns=*/4,
               /*flip_steps=*/8);
+}
+
+TEST(EstimationPlanTest, BlockScatterCoversFanoutEdgeCases) {
+  // A gate reading one net on two pins (two scatters onto one net from one
+  // gate), a net whose only load is a DFF D pin, and a primary output with
+  // no fanout at all. Its three sources span exactly one full block.
+  logic::LogicNetlist nl;
+  const logic::NetId a = nl.addNet("a");
+  const logic::NetId b = nl.addNet("b");
+  nl.markPrimaryInput(a);
+  nl.markPrimaryInput(b);
+  const logic::NetId q = nl.addNet("q");
+  const logic::NetId both = nl.addNet("both");
+  const logic::NetId d = nl.addNet("d");
+  const logic::NetId out = nl.addNet("out");
+  nl.addGate(gates::GateKind::kNand2, {a, a}, both);
+  nl.addGate(gates::GateKind::kNor2, {both, q}, d);
+  nl.addDff(d, q);
+  nl.addGate(gates::GateKind::kNand2, {q, b}, out);
+  nl.markPrimaryOutput(out);
+  nl.validate();
+
+  std::vector<std::vector<bool>> all_patterns;
+  for (unsigned bits = 0; bits < 8; ++bits) {
+    all_patterns.push_back({(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0});
+  }
+  for (int iterations : {1, 3}) {
+    for (bool with_loading : {true, false}) {
+      EstimatorOptions options;
+      options.propagation_iterations = iterations;
+      options.with_loading = with_loading;
+      const EstimationPlan plan(nl, sharedLibrary(), options);
+      EstimationWorkspace ws(plan);
+      std::vector<EstimateResult> blocked(all_patterns.size());
+      plan.estimateBlock(all_patterns, ws, blocked);
+      for (std::size_t i = 0; i < all_patterns.size(); ++i) {
+        expectExactlyEqual(
+            referenceEstimate(nl, sharedLibrary(), options, all_patterns[i]),
+            blocked[i],
+            "edge cases iters=" + std::to_string(iterations) +
+                (with_loading ? "" : " no-loading") + " pattern " +
+                std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(EstimationPlanTest, FavoursBlocksFromAQuarterOfTheBitsChanged) {
+  const std::vector<bool> zeros(8, false);
+  std::vector<bool> two = zeros;
+  two[0] = two[5] = true;
+  std::vector<bool> one = zeros;
+  one[3] = true;
+  using Run = std::vector<std::vector<bool>>;
+  EXPECT_TRUE(favoursBlocks(Run{}));
+  EXPECT_TRUE(favoursBlocks(Run{zeros}));
+  EXPECT_TRUE(favoursBlocks(Run{zeros, two}));          // 2 of 8 bits
+  EXPECT_FALSE(favoursBlocks(Run{zeros, one}));         // 1 of 8 bits
+  EXPECT_FALSE(favoursBlocks(Run{zeros, one, zeros}));  // 1-bit walk
+  EXPECT_TRUE(favoursBlocks(Run{zeros, one, two}));     // 4 of 16 bits
+  EXPECT_FALSE(favoursBlocks(Run{zeros, std::vector<bool>(7, true)}));
 }
 
 /// A Grid2D of `rows` x `cols` values drawn from `rng` in [lo, hi).

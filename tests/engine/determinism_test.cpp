@@ -3,16 +3,19 @@
 // paths exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/solver_stats.h"
 #include "core/characterizer.h"
 #include "core/estimation_plan.h"
-#include "core/estimator.h"
 #include "core/loading_analyzer.h"
 #include "engine/batch_runner.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
+#include "obs/metrics.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -154,10 +157,46 @@ TEST(EngineDeterminismTest, CornerSweepMatchesDirectAnalyzerLoop) {
   }
 }
 
+/// Bitwise equality of two doubles (unlike ==, tells -0 from +0 and
+/// matches NaN to itself).
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool sameBreakdown(const device::LeakageBreakdown& a,
+                   const device::LeakageBreakdown& b) {
+  return sameBits(a.subthreshold, b.subthreshold) &&
+         sameBits(a.gate, b.gate) && sameBits(a.btbt, b.btbt);
+}
+
+/// Every field of two estimates, bitwise: the totals and each gate's
+/// components, IL and OL.
+::testing::AssertionResult sameEstimate(const core::EstimateResult& a,
+                                        const core::EstimateResult& b) {
+  if (!sameBreakdown(a.total, b.total)) {
+    return ::testing::AssertionFailure() << "totals differ";
+  }
+  if (a.per_gate.size() != b.per_gate.size()) {
+    return ::testing::AssertionFailure() << "gate counts differ";
+  }
+  for (std::size_t g = 0; g < a.per_gate.size(); ++g) {
+    const core::GateEstimate& x = a.per_gate[g];
+    const core::GateEstimate& y = b.per_gate[g];
+    if (!sameBreakdown(x.leakage, y.leakage) || !sameBits(x.il, y.il) ||
+        !sameBits(x.ol, y.ol)) {
+      return ::testing::AssertionFailure() << "gate " << g << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
   // One immutable plan shared by every worker, one workspace per thread,
-  // incremental deltas inside chunks - and still bit-identical to the
-  // sequential legacy estimator at any thread count and chunk size.
+  // random chunks through the block kernel and walk chunks through
+  // incremental deltas - and still bit-identical to the single-pattern
+  // estimate() at any thread count, chunk size and batch size, per gate
+  // and total-only, with and without loading, at one and three
+  // propagation levels.
   core::CharacterizationOptions options;
   options.kinds = {gates::GateKind::kNand2, gates::GateKind::kInv};
   options.loading_grid = {0.0, 1.0e-6, 3.0e-6};
@@ -165,38 +204,72 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
       core::Characterizer(device::defaultTechnology(), options)
           .characterize();
   const logic::LogicNetlist netlist = logic::c17();
-  const core::LeakageEstimator estimator(netlist, library);
-  const core::EstimationPlan& plan = estimator.plan();
+
+  core::EstimatorOptions no_loading;
+  no_loading.with_loading = false;
+  core::EstimatorOptions three_levels;
+  three_levels.propagation_iterations = 3;
 
   Rng rng(41);
-  std::vector<std::vector<bool>> patterns;
-  for (int i = 0; i < 53; ++i) {  // not a multiple of any chunk size
-    patterns.push_back(logic::randomPattern(plan.sourceCount(), rng));
+  std::vector<std::vector<std::vector<bool>>> batches;
+  for (int size : {1, 9, 53}) {  // partial blocks; not a multiple of a chunk
+    std::vector<std::vector<bool>> batch;
+    for (int i = 0; i < size; ++i) {
+      batch.push_back(logic::randomPattern(5, rng));
+    }
+    batches.push_back(std::move(batch));
   }
-
-  std::vector<core::EstimateResult> reference;
-  for (const auto& pattern : patterns) {
-    reference.push_back(estimator.estimate(pattern));
+  // A 1-bit walk: consecutive patterns differ in one of c17's 5 sources,
+  // under the quarter that sends a chunk to the block kernel.
+  std::vector<std::vector<bool>> walk{logic::randomPattern(5, rng)};
+  for (int i = 1; i < 40; ++i) {
+    walk.push_back(walk.back());
+    const std::size_t bit = rng.uniformInt(5);
+    walk.back()[bit] = !walk.back()[bit];
   }
+  batches.push_back(walk);
+  const std::size_t walk_index = batches.size() - 1;
 
-  for (int threads : {1, 4, 8}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-      BatchRunner runner(
-          BatchOptions{.threads = threads, .pattern_chunk = chunk});
-      const std::vector<core::EstimateResult> results =
-          runner.runPatterns(plan, patterns);
-      ASSERT_EQ(results.size(), reference.size());
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(reference[i].total.subthreshold,
-                  results[i].total.subthreshold);
-        EXPECT_EQ(reference[i].total.gate, results[i].total.gate);
-        EXPECT_EQ(reference[i].total.btbt, results[i].total.btbt);
-        ASSERT_EQ(reference[i].per_gate.size(), results[i].per_gate.size());
-        for (std::size_t g = 0; g < reference[i].per_gate.size(); ++g) {
-          EXPECT_EQ(reference[i].per_gate[g].leakage.total(),
-                    results[i].per_gate[g].leakage.total());
-          EXPECT_EQ(reference[i].per_gate[g].il, results[i].per_gate[g].il);
-          EXPECT_EQ(reference[i].per_gate[g].ol, results[i].per_gate[g].ol);
+  for (const core::EstimatorOptions& plan_options :
+       {core::EstimatorOptions{}, no_loading, three_levels}) {
+    const core::EstimationPlan plan(netlist, library, plan_options);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const std::vector<std::vector<bool>>& patterns = batches[b];
+      std::vector<core::EstimateResult> reference;
+      for (const auto& pattern : patterns) {
+        core::EstimationWorkspace ws(plan);
+        reference.push_back(plan.estimate(pattern, ws));
+      }
+      for (int threads : {1, 4, 8}) {
+        for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  BatchOptions{}.pattern_chunk}) {
+          const std::string context =
+              "loading=" + std::to_string(plan_options.with_loading) +
+              " levels=" +
+              std::to_string(plan_options.propagation_iterations) +
+              " batch=" + std::to_string(b) +
+              " threads=" + std::to_string(threads) +
+              " chunk=" + std::to_string(chunk);
+          BatchRunner runner(
+              BatchOptions{.threads = threads, .pattern_chunk = chunk});
+          const std::uint64_t blocked = obs::counterValue("estimate.blocked");
+          const std::vector<core::EstimateResult> results =
+              runner.runPatterns(plan, patterns);
+          const std::vector<device::LeakageBreakdown> totals =
+              runner.runPatternTotals(plan, patterns);
+          ASSERT_EQ(results.size(), reference.size()) << context;
+          ASSERT_EQ(totals.size(), reference.size()) << context;
+          for (std::size_t i = 0; i < results.size(); ++i) {
+            EXPECT_TRUE(sameEstimate(reference[i], results[i]))
+                << context << " pattern " << i;
+            EXPECT_TRUE(sameBreakdown(reference[i].total, totals[i]))
+                << context << " pattern " << i;
+          }
+          // A walk chunk of two or more patterns takes the delta path.
+          if (b == walk_index && chunk > 1) {
+            EXPECT_EQ(obs::counterValue("estimate.blocked"), blocked)
+                << context;
+          }
         }
       }
     }

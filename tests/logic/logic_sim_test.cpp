@@ -178,6 +178,34 @@ TEST(LogicSimTest, SimulateIntoMatchesSimulate) {
   }
 }
 
+TEST(LogicSimTest, SimulateWordsMatchesSimulatePerBit) {
+  // A synthetic with DFF sources; a full 64-pattern word and a partial
+  // one.
+  const LogicNetlist nl = synthesizeIscasLike(iscasSpec("s838"), 20050307);
+  const LogicSimulator sim(nl);
+  Rng rng(9);
+  std::vector<std::uint64_t> words;
+  for (std::size_t count : {std::size_t{64}, std::size_t{5}}) {
+    std::vector<std::vector<bool>> patterns;
+    for (std::size_t p = 0; p < count; ++p) {
+      patterns.push_back(randomPattern(sim.sourceCount(), rng));
+    }
+    sim.simulateWords(patterns, words);
+    ASSERT_EQ(words.size(), nl.netCount());
+    for (std::size_t p = 0; p < count; ++p) {
+      const std::vector<bool> values = sim.simulate(patterns[p]);
+      for (NetId net = 0; net < nl.netCount(); ++net) {
+        ASSERT_EQ(((words[net] >> p) & 1) != 0, values[net])
+            << "pattern " << p << " net " << net;
+      }
+    }
+  }
+  EXPECT_THROW(sim.simulateWords(std::vector<std::vector<bool>>(
+                                     65, std::vector<bool>(sim.sourceCount())),
+                                 words),
+               Error);
+}
+
 TEST(LogicSimTest, SimulateDeltaTracksFullResimulation) {
   const LogicNetlist nl = alu8();
   const LogicSimulator sim(nl);
