@@ -9,7 +9,7 @@
 
 #include "bench_util.h"
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "core/golden.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
@@ -25,13 +25,13 @@ double meanAbsErrorPct(const logic::LogicNetlist& nl,
                        const core::EstimatorOptions& options, int vectors,
                        Rng rng) {
   const device::Technology tech = device::defaultTechnology();
-  const core::LeakageEstimator est(nl, lib, options);
-  const logic::LogicSimulator sim(nl);
+  const core::EstimationPlan plan(nl, lib, options);
+  core::EstimationWorkspace ws(plan);
   double sum = 0.0;
   for (int i = 0; i < vectors; ++i) {
-    const auto vec = logic::randomPattern(sim.sourceCount(), rng);
+    const auto vec = logic::randomPattern(plan.sourceCount(), rng);
     const double golden = core::goldenLeakage(nl, tech, vec).total.total();
-    const double estimate = est.estimate(vec).total.total();
+    const double estimate = plan.estimate(vec, ws).total.total();
     sum += std::abs(estimate - golden) / golden * 100.0;
   }
   return sum / vectors;

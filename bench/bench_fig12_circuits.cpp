@@ -1,27 +1,23 @@
 // Fig. 12: circuit-level evaluation on the paper's benchmark suite
 // (ISCAS89-shaped synthetics + the exact mult88/alu88 reconstructions).
 //
-//  (a) total leakage: golden full solve ("SPICE") vs the Fig. 13 estimator
+//  (a) total leakage: golden full solve ("SPICE") vs the Fig. 13 estimator,
+//      with the wall-clock of each and their ratio (Sec. 6: the table
+//      estimator is orders of magnitude faster than the full solve)
 //  (b) average % leakage variation due to loading, per component
 //  (c) maximum % variation over the random-vector set
 //
-// Also reports pattern-sweep throughput per circuit: the per-call
-// estimator facade (the pre-refactor shape - every call re-derives vector
-// indices, re-resolves tables, and allocates fresh buffers) against the
-// compiled EstimationPlan with a reused workspace and incremental deltas.
-// The comparison lands in the table below and in fig12_throughput.json.
+// Pattern-sweep throughput (full, block and incremental estimation at
+// scale) is perfbench's sweep workload, not this bench's.
 //
 // Usage: bench_fig12_circuits [vectors]   (default 100, the paper's count;
 // golden cross-checks always use 3 vectors per circuit)
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "bench_util.h"
 #include "core/characterizer.h"
 #include "core/estimation_plan.h"
-#include "core/estimator.h"
 #include "core/golden.h"
 #include "logic/logic_sim.h"
 #include "scenario/scenario.h"
@@ -46,9 +42,6 @@ struct Row {
   double avg_total_pct = 0.0;
   device::LeakageBreakdown max_delta_pct;
   double max_total_pct = 0.0;
-  double per_call_pps = 0.0;  // patterns/sec, per-call facade
-  double plan_pps = 0.0;      // patterns/sec, plan path, random vectors
-  double walk_pps = 0.0;      // patterns/sec, plan path, 1-bit-flip walk
 };
 
 double pct(double now, double base) {
@@ -92,11 +85,13 @@ int main(int argc, char** argv) {
     Row row;
     row.name = bench.name;
     row.gates = bench.netlist.gateCount();
-    const logic::LogicSimulator sim(bench.netlist);
-    const core::LeakageEstimator with(bench.netlist, lib);
+    const core::EstimationPlan with(bench.netlist, lib);
     core::EstimatorOptions off;
     off.with_loading = false;
-    const core::LeakageEstimator without(bench.netlist, lib, off);
+    const core::EstimationPlan without(bench.netlist, lib, off);
+    core::EstimationWorkspace with_ws(with);
+    core::EstimationWorkspace without_ws(without);
+    core::EstimateResult est;
 
     // (a) golden vs estimated on a few vectors (the golden side is the
     // expensive full nonlinear solve).
@@ -104,12 +99,12 @@ int main(int argc, char** argv) {
     double golden_sum = 0.0;
     double est_sum = 0.0;
     for (int i = 0; i < golden_vectors; ++i) {
-      const auto vec = logic::randomPattern(sim.sourceCount(), rng);
+      const auto vec = logic::randomPattern(with.sourceCount(), rng);
       const auto g0 = Clock::now();
       const core::GoldenResult golden =
           core::goldenLeakage(bench.netlist, tech, vec);
       const auto g1 = Clock::now();
-      const core::EstimateResult est = with.estimate(vec);
+      with.estimate(vec, with_ws, est);
       const auto g2 = Clock::now();
       golden_sum += golden.total.total();
       est_sum += est.total.total();
@@ -125,76 +120,13 @@ int main(int argc, char** argv) {
     row.error_pct = pct(est_sum, golden_sum);
 
     // (b)/(c) loading-vs-isolated variation over the full vector set,
-    // via the (fast) estimator - the paper's Fig. 12b/c methodology -
-    // timed both through the per-call facade and through the compiled
-    // plan with a reused workspace and incremental deltas.
-    std::vector<std::vector<bool>> vecs;
-    vecs.reserve(vectors);
+    // via the (fast) estimator - the paper's Fig. 12b/c methodology.
     for (std::size_t i = 0; i < vectors; ++i) {
-      vecs.push_back(logic::randomPattern(sim.sourceCount(), rng));
-    }
-
-    // Pre-refactor shape: one facade call per pattern (fresh buffers and
-    // table resolution every call).
-    double call_checksum = 0.0;
-    const auto c0 = Clock::now();
-    for (const auto& vec : vecs) {
-      call_checksum += with.estimate(vec).total.total();
-    }
-    const auto c1 = Clock::now();
-
-    // Compile-once / execute-many: shared plan, one workspace, deltas.
-    std::vector<device::LeakageBreakdown> with_totals;
-    std::vector<device::LeakageBreakdown> without_totals;
-    with_totals.reserve(vectors);
-    without_totals.reserve(vectors);
-    double plan_checksum = 0.0;
-    core::EstimationWorkspace with_ws(with.plan());
-    core::EstimateResult est;
-    const auto p0 = Clock::now();
-    for (const auto& vec : vecs) {
-      with.plan().estimateDelta(vec, with_ws, est);
-      plan_checksum += est.total.total();
-      with_totals.push_back(est.total);
-    }
-    const auto p1 = Clock::now();
-    if (call_checksum != plan_checksum) {
-      std::cout << "  WARNING: plan path diverged from per-call path on "
-                << bench.name << "\n";
-    }
-    const double call_s =
-        std::chrono::duration<double>(c1 - c0).count();
-    const double plan_s =
-        std::chrono::duration<double>(p1 - p0).count();
-    row.per_call_pps = static_cast<double>(vectors) / std::max(1e-12, call_s);
-    row.plan_pps = static_cast<double>(vectors) / std::max(1e-12, plan_s);
-
-    // Single-bit-flip walk (the IVC neighbour-search shape): the delta
-    // path's home turf - each step re-estimates only the flipped cone.
-    // One untimed call first: the workspace is warm from the random set's
-    // last vector, and jumping to the walk's base pattern would otherwise
-    // count a full-evaluation fallback as walk time.
-    std::vector<bool> walk_vec = vecs.front();
-    with.plan().estimateDelta(walk_vec, with_ws, est);
-    const auto w0 = Clock::now();
-    for (std::size_t i = 0; i < vectors; ++i) {
-      walk_vec[i % walk_vec.size()] = !walk_vec[i % walk_vec.size()];
-      with.plan().estimateDelta(walk_vec, with_ws, est);
-    }
-    const auto w1 = Clock::now();
-    const double walk_s =
-        std::chrono::duration<double>(w1 - w0).count();
-    row.walk_pps = static_cast<double>(vectors) / std::max(1e-12, walk_s);
-
-    core::EstimationWorkspace without_ws(without.plan());
-    for (const auto& vec : vecs) {
-      without.plan().estimateDelta(vec, without_ws, est);
-      without_totals.push_back(est.total);
-    }
-
-    for (std::size_t i = 0; i < vectors; ++i) {
-      const auto& w = with_totals[i];
-      const auto& wo = without_totals[i];
+      const auto vec = logic::randomPattern(with.sourceCount(), rng);
+      with.estimate(vec, with_ws, est);
+      const device::LeakageBreakdown w = est.total;
+      without.estimate(vec, without_ws, est);
+      const device::LeakageBreakdown& wo = est.total;
       const double d_sub = pct(w.subthreshold, wo.subthreshold);
       const double d_gate = pct(w.gate, wo.gate);
       const double d_btbt = pct(w.btbt, wo.btbt);
@@ -273,54 +205,8 @@ int main(int argc, char** argv) {
     }
     table.printText(std::cout);
   }
-  bench::banner("Pattern-sweep throughput: per-call facade vs compiled plan");
-  {
-    TableWriter table({"circuit", "gates", "per-call [pat/s]",
-                       "plan random [pat/s]", "speedup",
-                       "plan 1-bit walk [pat/s]", "speedup"});
-    for (const Row& row : rows) {
-      table.addRow({row.name, std::to_string(row.gates),
-                    formatDouble(row.per_call_pps, 0),
-                    formatDouble(row.plan_pps, 0),
-                    formatDouble(row.plan_pps /
-                                     std::max(1e-12, row.per_call_pps),
-                                 2),
-                    formatDouble(row.walk_pps, 0),
-                    formatDouble(row.walk_pps /
-                                     std::max(1e-12, row.per_call_pps),
-                                 2)});
-    }
-    table.printText(std::cout);
-  }
-
-  std::ostringstream json;
-  json << "{\n  \"workload\": \"fig12_patterns\",\n  \"vectors\": "
-       << vectors << ",\n  \"circuits\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    json << "    {\"name\": \"" << row.name << "\", \"gates\": " << row.gates
-         << ", \"per_call_patterns_per_s\": "
-         << formatDouble(row.per_call_pps, 1)
-         << ", \"plan_patterns_per_s\": " << formatDouble(row.plan_pps, 1)
-         << ", \"plan_walk_patterns_per_s\": "
-         << formatDouble(row.walk_pps, 1) << ", \"speedup\": "
-         << formatDouble(row.plan_pps / std::max(1e-12, row.per_call_pps), 3)
-         << ", \"walk_speedup\": "
-         << formatDouble(row.walk_pps / std::max(1e-12, row.per_call_pps), 3)
-         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  const std::string out_path =
-      nanoleak::bench::outPath("fig12_throughput.json");
-  std::ofstream out(out_path);
-  if (out) {
-    out << json.str();
-    std::cout << "\nwrote " << out_path << "\n";
-  }
-
   std::cout << "(expected shape: estimator within a few % of golden; "
                "average loading effect on total ~5%, subthreshold largest "
-               "and positive, gate/BTBT negative; large speedup, and the "
-               "compiled plan path well above the per-call path)\n";
+               "and positive, gate/BTBT negative; large speedup)\n";
   return 0;
 }

@@ -11,12 +11,11 @@
 
 namespace nanoleak::bench {
 
-/// Where bench artifacts (BENCH_*.json, fig12_throughput.json,
-/// speedup.json) are written: bench/out/ relative to the working
-/// directory (the repo root in CI), which is gitignored. Creates the
-/// directory on first use and falls back to the bare filename when it
-/// cannot be created (e.g. a read-only cwd), so benches still emit their
-/// artifact somewhere rather than failing.
+/// Where bench artifacts (the BENCH_*.json files) are written: bench/out/
+/// relative to the working directory (the repo root in CI), which is
+/// gitignored. Creates the directory on first use and falls back to the
+/// bare filename when it cannot be created (e.g. a read-only cwd), so
+/// benches still emit their artifact somewhere rather than failing.
 inline std::string outPath(const std::string& filename) {
   const std::filesystem::path dir = std::filesystem::path("bench") / "out";
   std::error_code ec;

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "logic/logic_sim.h"
 #include "scenario/scenario.h"
 #include "util/error.h"
@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
     copts.kinds = core::generatorGateKinds();
     const core::LeakageLibrary library =
         core::Characterizer(tech, copts).characterize();
-    const core::LeakageEstimator estimator(netlist, library);
+    const core::EstimationPlan plan(netlist, library);
+    core::EstimationWorkspace ws(plan);
 
-    const logic::LogicSimulator sim(netlist);
     Rng rng(1);
     RunningStats sub;
     RunningStats gate;
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
     const int vectors = 50;
     core::EstimateResult last;
     for (int i = 0; i < vectors; ++i) {
-      const auto vec = logic::randomPattern(sim.sourceCount(), rng);
-      last = estimator.estimate(vec);
+      const auto vec = logic::randomPattern(plan.sourceCount(), rng);
+      plan.estimate(vec, ws, last);
       sub.add(toNanoAmps(last.total.subthreshold));
       gate.add(toNanoAmps(last.total.gate));
       btbt.add(toNanoAmps(last.total.btbt));

@@ -4,12 +4,13 @@
 //
 //   1. build (or parse) a gate-level netlist
 //   2. characterize the leakage library once for your technology
-//   3. estimate per input vector - roughly three orders of magnitude
-//      faster than re-solving the transistor netlist
+//   3. compile an estimation plan once per (netlist, library, options)
+//   4. estimate per input vector on a reusable workspace - roughly three
+//      orders of magnitude faster than re-solving the transistor netlist
 #include <iostream>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "core/golden.h"
 #include "logic/bench_io.h"
 #include "util/table_writer.h"
@@ -42,11 +43,13 @@ y  = NAND(n3, n4)
   const core::LeakageLibrary library =
       core::Characterizer(tech, copts).characterize();
 
-  const core::LeakageEstimator with_loading(netlist, library);
+  // One plan per option set; a workspace holds one plan's per-call buffers.
+  const core::EstimationPlan with_loading(netlist, library);
   core::EstimatorOptions no_loading_opts;
   no_loading_opts.with_loading = false;
-  const core::LeakageEstimator no_loading(netlist, library,
-                                          no_loading_opts);
+  const core::EstimationPlan no_loading(netlist, library, no_loading_opts);
+  core::EstimationWorkspace with_ws(with_loading);
+  core::EstimationWorkspace no_ws(no_loading);
 
   TableWriter table({"vector abcd", "traditional [nA]",
                      "loading-aware [nA]", "delta [%]", "golden [nA]",
@@ -54,8 +57,8 @@ y  = NAND(n3, n4)
   for (unsigned v = 0; v < 16; v += 3) {
     const std::vector<bool> vec{(v & 1) != 0, (v & 2) != 0, (v & 4) != 0,
                                 (v & 8) != 0};
-    const double base = no_loading.estimate(vec).total.total();
-    const double loaded = with_loading.estimate(vec).total.total();
+    const double base = no_loading.estimate(vec, no_ws).total.total();
+    const double loaded = with_loading.estimate(vec, with_ws).total.total();
     const double golden = core::goldenLeakage(netlist, tech, vec)
                               .total.total();
     std::string bits;

@@ -462,13 +462,6 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
   finishResult(ws, out);
 }
 
-EstimateResult EstimationPlan::estimateDelta(
-    const std::vector<bool>& source_values, EstimationWorkspace& ws) const {
-  EstimateResult out;
-  estimateDelta(source_values, ws, out);
-  return out;
-}
-
 device::LeakageBreakdown EstimationPlan::estimateDeltaTotal(
     const std::vector<bool>& source_values, EstimationWorkspace& ws) const {
   evaluateDelta(source_values, ws);

@@ -1,6 +1,13 @@
 /// @file
 /// Compile-once / execute-many split of the paper's Fig. 13 estimator.
 ///
+/// Fig. 13, for one input pattern: simulate logic values, then for each
+/// gate accumulate the input/output loading currents from the
+/// pre-characterized pin tunneling currents of its neighbours, and
+/// interpolate the gate's leakage decomposition from its (IL, OL) tables.
+/// One table pass is the paper's one-level propagation; more levels
+/// re-derive pin currents from the loaded tables (see EstimatorOptions).
+///
 /// EstimationPlan is the "compiled" form of (netlist, library, options):
 /// gate input pins and net fanouts flattened into CSR arrays, every table
 /// the netlist reads copied into one contiguous arena (one 32-bit block
@@ -137,9 +144,6 @@ class EstimationPlan {
   /// to estimate() in every case.
   void estimateDelta(const std::vector<bool>& source_values,
                      EstimationWorkspace& ws, EstimateResult& out) const;
-  /// Convenience overload returning a fresh result.
-  EstimateResult estimateDelta(const std::vector<bool>& source_values,
-                               EstimationWorkspace& ws) const;
   /// estimateDelta() for callers that read only the whole-circuit total:
   /// the same evaluation (bit-identical total, same path counters) without
   /// copying the per-gate results out of the workspace.
@@ -303,12 +307,6 @@ class EstimationWorkspace {
 
   /// The plan this workspace was sized for.
   const EstimationPlan& plan() const { return *plan_; }
-  /// True when the workspace holds the state of a previous estimate on its
-  /// plan (what estimateDelta() resumes from).
-  bool warm() const { return warm_; }
-  /// Forgets the previous-estimate state; the next estimateDelta() runs a
-  /// full evaluation.
-  void invalidate() { warm_ = false; }
 
  private:
   friend class EstimationPlan;

@@ -22,8 +22,6 @@ GoldenSolver::GoldenSolver(const logic::LogicNetlist& netlist,
       variation_(variation),
       sim_(netlist) {}
 
-void GoldenSolver::resetWarmStart() { warm_.clear(); }
-
 GoldenResult GoldenSolver::solve(const std::vector<bool>& source_values) {
   const double vdd = technology_.vdd;
 

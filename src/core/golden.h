@@ -54,10 +54,6 @@ class GoldenSolver {
   /// solve fails.
   GoldenResult solve(const std::vector<bool>& source_values);
 
-  /// Drops the previous operating point: the next solve() re-binds the
-  /// pattern but seeds cold (logic levels), as if freshly compiled.
-  void resetWarmStart();
-
  private:
   const logic::LogicNetlist& netlist_;
   device::Technology technology_;

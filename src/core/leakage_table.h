@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -188,7 +187,8 @@ std::size_t vectorIndex(const std::vector<bool>& input_values);
 /// The characterized library for one technology.
 class LeakageLibrary {
  public:
-  /// Technology fingerprint (for sanity checks when loading from disk).
+  /// Technology fingerprint: the device pair, supply and temperature the
+  /// tables were characterized at.
   struct Meta {
     /// Display name of the characterized device pair.
     std::string technology_name = "default";
@@ -215,20 +215,6 @@ class LeakageLibrary {
                            std::size_t vector_index) const;
   /// Adds (or replaces) a kind's tables.
   void insert(gates::GateKind kind, std::vector<VectorTable> tables);
-
-  /// Number of gate kinds present.
-  std::size_t kindCount() const { return tables_.size(); }
-
-  // --- Serialization (.nlib text format) ----------------------------------
-
-  /// Writes the .nlib text form.
-  void serialize(std::ostream& out) const;
-  /// Parses serialize() output. Throws nanoleak::Error on malformed input.
-  static LeakageLibrary deserialize(std::istream& in);
-  /// serialize() to a file. Throws nanoleak::Error on I/O failure.
-  void saveFile(const std::string& path) const;
-  /// deserialize() from a file. Throws nanoleak::Error on I/O failure.
-  static LeakageLibrary loadFile(const std::string& path);
 
  private:
   Meta meta_;

@@ -67,9 +67,6 @@ class BatchRunner {
   ThreadPool& pool() { return pool_; }
   /// The characterization cache shared by this runner's workloads.
   TableCache& cache() { return *cache_; }
-  /// The same cache as an owning handle, for wiring further runners to
-  /// it (see BatchOptions::cache).
-  std::shared_ptr<TableCache> sharedCache() const { return cache_; }
 
   /// Fig. 7 job: one task per input vector (each task owns its
   /// LoadingAnalyzer and sweeps the loading grid sequentially). Results

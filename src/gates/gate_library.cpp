@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace nanoleak::gates {
 
@@ -71,26 +70,6 @@ const char* toString(GateKind kind) {
       return "DFF";
   }
   return "?";
-}
-
-GateKind gateKindFromString(const std::string& name) {
-  const std::string upper = toUpper(name);
-  for (GateKind kind : kCombinational) {
-    if (upper == toString(kind)) {
-      return kind;
-    }
-  }
-  if (upper == "DFF") {
-    return GateKind::kDff;
-  }
-  // Aliases used by .bench files.
-  if (upper == "NOT") {
-    return GateKind::kInv;
-  }
-  if (upper == "BUFF" || upper == "BUFFER") {
-    return GateKind::kBuf;
-  }
-  throw ParseError("unknown gate kind '" + name + "'", 0);
 }
 
 int inputCount(GateKind kind) {

@@ -48,10 +48,6 @@ std::span<const GateKind> combinationalKinds();
 
 const char* toString(GateKind kind);
 
-/// Parses a cell name ("NAND2", case-insensitive). Throws ParseError on
-/// unknown names.
-GateKind gateKindFromString(const std::string& name);
-
 /// Number of input pins of the cell (kMux2: in0, in1, select).
 int inputCount(GateKind kind);
 

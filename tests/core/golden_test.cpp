@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
 #include "util/rng.h"
@@ -98,13 +98,13 @@ TEST(GoldenTest, EstimatorTracksGoldenWithinTolerance) {
   CharacterizationOptions options;
   options.kinds = generatorGateKinds();
   const LeakageLibrary lib = Characterizer(tech, options).characterize();
-  const LeakageEstimator est(nl, lib);
+  const EstimationPlan plan(nl, lib);
+  EstimationWorkspace ws(plan);
   Rng rng(22);
-  const logic::LogicSimulator sim(nl);
   for (int trial = 0; trial < 3; ++trial) {
-    const auto vec = logic::randomPattern(sim.sourceCount(), rng);
+    const auto vec = logic::randomPattern(plan.sourceCount(), rng);
     const GoldenResult golden = goldenLeakage(nl, tech, vec);
-    const EstimateResult estimate = est.estimate(vec);
+    const EstimateResult estimate = plan.estimate(vec, ws);
     const double err = std::abs(estimate.total.total() -
                                 golden.total.total()) /
                        golden.total.total();

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "util/error.h"
@@ -159,49 +158,6 @@ TEST(LeakageLibraryTest, InsertValidatesVectorCount) {
   EXPECT_FALSE(library.has(gates::GateKind::kNand2));
   EXPECT_THROW(library.tables(gates::GateKind::kNand2), Error);
   EXPECT_THROW(library.table(gates::GateKind::kInv, 5), Error);
-}
-
-TEST(LeakageLibraryTest, SerializationRoundTrips) {
-  LeakageLibrary::Meta meta;
-  meta.technology_name = "testtech";
-  meta.vdd = 0.9;
-  meta.temperature_k = 330.0;
-  LeakageLibrary library(meta);
-  VectorTable t0 = makeTable();
-  t0.pin_current_grid = {Grid2D(2, 2), Grid2D(2, 2)};
-  t0.pin_current_grid[0].at(1, 1) = 7e-8;
-  library.insert(gates::GateKind::kInv, {t0, makeTable()});
-
-  std::stringstream stream;
-  library.serialize(stream);
-  const LeakageLibrary loaded = LeakageLibrary::deserialize(stream);
-  EXPECT_EQ(loaded.meta().technology_name, "testtech");
-  EXPECT_DOUBLE_EQ(loaded.meta().vdd, 0.9);
-  EXPECT_DOUBLE_EQ(loaded.meta().temperature_k, 330.0);
-  ASSERT_TRUE(loaded.has(gates::GateKind::kInv));
-  const VectorTable& read = loaded.table(gates::GateKind::kInv, 0);
-  EXPECT_DOUBLE_EQ(read.nominal.subthreshold, 1e-7);
-  EXPECT_DOUBLE_EQ(read.isolated_nominal.gate, 1.9e-7);
-  EXPECT_DOUBLE_EQ(read.pin_current[1], -4e-8);
-  EXPECT_DOUBLE_EQ(read.pin_current_grid[0].at(1, 1), 7e-8);
-  // Interpolation behaviour identical after the round trip.
-  EXPECT_DOUBLE_EQ(read.lookup(0.5e-6, 1e-6).subthreshold,
-                   t0.lookup(0.5e-6, 1e-6).subthreshold);
-}
-
-TEST(LeakageLibraryTest, DeserializeRejectsGarbage) {
-  std::stringstream bad("not-a-library 9");
-  EXPECT_THROW(LeakageLibrary::deserialize(bad), Error);
-}
-
-TEST(LeakageLibraryTest, FileRoundTrip) {
-  LeakageLibrary library;
-  library.insert(gates::GateKind::kInv, {makeTable(), makeTable()});
-  const std::string path = ::testing::TempDir() + "/lib_test.nlib";
-  library.saveFile(path);
-  const LeakageLibrary loaded = LeakageLibrary::loadFile(path);
-  EXPECT_TRUE(loaded.has(gates::GateKind::kInv));
-  EXPECT_THROW(LeakageLibrary::loadFile("/nonexistent/x.nlib"), Error);
 }
 
 }  // namespace

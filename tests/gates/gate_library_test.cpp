@@ -32,16 +32,6 @@ bool eval(GateKind kind, std::size_t value) {
                       std::span<const bool>(flat.data(), in.size()));
 }
 
-TEST(GateLibraryTest, NamesRoundTrip) {
-  for (GateKind kind : combinationalKinds()) {
-    EXPECT_EQ(gateKindFromString(toString(kind)), kind);
-  }
-  EXPECT_EQ(gateKindFromString("not"), GateKind::kInv);
-  EXPECT_EQ(gateKindFromString("BUFF"), GateKind::kBuf);
-  EXPECT_EQ(gateKindFromString("dff"), GateKind::kDff);
-  EXPECT_THROW(gateKindFromString("FLUXCAP"), ParseError);
-}
-
 TEST(GateLibraryTest, InverterTruth) {
   EXPECT_TRUE(eval(GateKind::kInv, 0));
   EXPECT_FALSE(eval(GateKind::kInv, 1));

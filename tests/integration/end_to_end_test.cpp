@@ -5,7 +5,7 @@
 #include <chrono>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "core/golden.h"
 #include "logic/bench_io.h"
 #include "logic/generators.h"
@@ -18,8 +18,9 @@ namespace {
 using core::CharacterizationOptions;
 using core::Characterizer;
 using core::EstimateResult;
+using core::EstimationPlan;
+using core::EstimationWorkspace;
 using core::GoldenResult;
-using core::LeakageEstimator;
 using core::LeakageLibrary;
 
 const LeakageLibrary& lib() {
@@ -43,8 +44,9 @@ n3 = XOR(n1, n2)
 y = NOT(n3)
 )";
   const logic::LogicNetlist nl = logic::parseBenchString(text);
-  const LeakageEstimator est(nl, lib());
-  const EstimateResult r = est.estimate({false, true, false});
+  const EstimationPlan plan(nl, lib());
+  EstimationWorkspace ws(plan);
+  const EstimateResult r = plan.estimate({false, true, false}, ws);
   EXPECT_EQ(r.per_gate.size(), 4u);
   EXPECT_GT(r.total.total(), 0.0);
   const GoldenResult golden =
@@ -52,18 +54,6 @@ y = NOT(n3)
                           {false, true, false});
   EXPECT_NEAR(r.total.total(), golden.total.total(),
               0.05 * golden.total.total());
-}
-
-TEST(EndToEndTest, LibraryRoundTripPreservesEstimates) {
-  const logic::LogicNetlist nl = logic::arrayMultiplier(4);
-  const std::string path = ::testing::TempDir() + "/e2e.nlib";
-  lib().saveFile(path);
-  const LeakageLibrary reloaded = LeakageLibrary::loadFile(path);
-  const LeakageEstimator a(nl, lib());
-  const LeakageEstimator b(nl, reloaded);
-  std::vector<bool> vec(8, true);
-  EXPECT_DOUBLE_EQ(a.estimate(vec).total.total(),
-                   b.estimate(vec).total.total());
 }
 
 class CircuitSweep : public ::testing::TestWithParam<const char*> {};
@@ -78,13 +68,13 @@ TEST_P(CircuitSweep, EstimatorTracksGoldenOnRandomVectors) {
     return logic::synthesizeIscasLike(logic::iscasSpec(name), 1234);
   }();
   const device::Technology tech = device::defaultTechnology();
-  const LeakageEstimator est(nl, lib());
-  const logic::LogicSimulator sim(nl);
+  const EstimationPlan plan(nl, lib());
+  EstimationWorkspace ws(plan);
   Rng rng(555);
   for (int trial = 0; trial < 2; ++trial) {
-    const auto vec = logic::randomPattern(sim.sourceCount(), rng);
+    const auto vec = logic::randomPattern(plan.sourceCount(), rng);
     const GoldenResult golden = core::goldenLeakage(nl, tech, vec);
-    const EstimateResult estimate = est.estimate(vec);
+    const EstimateResult estimate = plan.estimate(vec, ws);
     const double err =
         std::abs(estimate.total.total() - golden.total.total()) /
         golden.total.total();
@@ -106,16 +96,16 @@ INSTANTIATE_TEST_SUITE_P(Circuits, CircuitSweep,
 TEST(EndToEndTest, EstimatorIsMuchFasterThanGolden) {
   const logic::LogicNetlist nl = logic::arrayMultiplier(6);
   const device::Technology tech = device::defaultTechnology();
-  const LeakageEstimator est(nl, lib());
-  const logic::LogicSimulator sim(nl);
+  const EstimationPlan plan(nl, lib());
+  EstimationWorkspace ws(plan);
   Rng rng(9);
-  const auto vec = logic::randomPattern(sim.sourceCount(), rng);
+  const auto vec = logic::randomPattern(plan.sourceCount(), rng);
 
   const auto t0 = std::chrono::steady_clock::now();
   (void)core::goldenLeakage(nl, tech, vec);
   const auto t1 = std::chrono::steady_clock::now();
   for (int i = 0; i < 10; ++i) {
-    (void)est.estimate(vec);
+    (void)plan.estimate(vec, ws);
   }
   const auto t2 = std::chrono::steady_clock::now();
   const double golden_ms =

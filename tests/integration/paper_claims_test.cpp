@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "core/golden.h"
 #include "core/loading_analyzer.h"
 #include "logic/generators.h"
@@ -15,7 +15,8 @@
 namespace nanoleak {
 namespace {
 
-using core::LeakageEstimator;
+using core::EstimationPlan;
+using core::EstimationWorkspace;
 using core::LeakageLibrary;
 
 const LeakageLibrary& lib() {
@@ -67,15 +68,16 @@ TEST(PaperClaimsTest, Fig12bComponentOrdering) {
   // BTBT move the other way and are smaller in magnitude.
   const logic::LogicNetlist nl =
       logic::synthesizeIscasLike(logic::iscasSpec("s838"), 7);
-  const LeakageEstimator with(nl, lib());
+  const EstimationPlan with(nl, lib());
   core::EstimatorOptions off;
   off.with_loading = false;
-  const LeakageEstimator without(nl, lib(), off);
-  const logic::LogicSimulator sim(nl);
+  const EstimationPlan without(nl, lib(), off);
+  EstimationWorkspace with_ws(with);
+  EstimationWorkspace without_ws(without);
   Rng rng(41);
-  const auto vec = logic::randomPattern(sim.sourceCount(), rng);
-  const auto w = with.estimate(vec).total;
-  const auto wo = without.estimate(vec).total;
+  const auto vec = logic::randomPattern(with.sourceCount(), rng);
+  const auto w = with.estimate(vec, with_ws).total;
+  const auto wo = without.estimate(vec, without_ws).total;
   const double sub_pct =
       100.0 * (w.subthreshold - wo.subthreshold) / wo.subthreshold;
   const double gate_pct = 100.0 * (w.gate - wo.gate) / wo.gate;
@@ -92,17 +94,18 @@ TEST(PaperClaimsTest, Section6LoadingCanChangeTheMinimumLeakageVector) {
   // loading; the orderings must not be identical on a circuit where
   // loading matters (the paper's IVC observation).
   const logic::LogicNetlist nl = logic::rippleCarryAdder(4);
-  const LeakageEstimator with(nl, lib());
+  const EstimationPlan with(nl, lib());
   core::EstimatorOptions off;
   off.with_loading = false;
-  const LeakageEstimator without(nl, lib(), off);
-  const logic::LogicSimulator sim(nl);
+  const EstimationPlan without(nl, lib(), off);
+  EstimationWorkspace with_ws(with);
+  EstimationWorkspace without_ws(without);
   Rng rng(51);
   std::vector<std::pair<double, double>> totals;  // (with, without)
   for (int i = 0; i < 64; ++i) {
-    const auto vec = logic::randomPattern(sim.sourceCount(), rng);
-    totals.emplace_back(with.estimate(vec).total.total(),
-                        without.estimate(vec).total.total());
+    const auto vec = logic::randomPattern(with.sourceCount(), rng);
+    totals.emplace_back(with.estimate(vec, with_ws).total.total(),
+                        without.estimate(vec, without_ws).total.total());
   }
   // Find the argmin under both metrics.
   std::size_t argmin_with = 0;
@@ -184,14 +187,12 @@ TEST(PaperClaimsTest, EstimatorTracksGoldenAcrossCircuitsTempsAndFlavours) {
       const LeakageLibrary library =
           core::Characterizer(tech, options).characterize();
       for (const Case& test_case : circuits) {
-        const logic::LogicSimulator sim(test_case.netlist);
-        const auto vec = logic::randomPattern(sim.sourceCount(), rng);
+        const EstimationPlan plan(test_case.netlist, library);
+        EstimationWorkspace ws(plan);
+        const auto vec = logic::randomPattern(plan.sourceCount(), rng);
         const double golden =
             core::goldenLeakage(test_case.netlist, tech, vec).total.total();
-        const double estimated =
-            LeakageEstimator(test_case.netlist, library)
-                .estimate(vec)
-                .total.total();
+        const double estimated = plan.estimate(vec, ws).total.total();
         const double error = std::abs(estimated - golden) / golden;
         error_sum += error;
         ++cases;
@@ -218,13 +219,14 @@ TEST(PaperClaimsTest, OneLevelPropagationSufficesOnCircuits) {
   one.propagation_iterations = 1;
   core::EstimatorOptions deep;
   deep.propagation_iterations = 4;
-  const logic::LogicSimulator sim(nl);
+  const EstimationPlan plan1(nl, lib(), one);
+  const EstimationPlan plan4(nl, lib(), deep);
+  EstimationWorkspace ws1(plan1);
+  EstimationWorkspace ws4(plan4);
   Rng rng(61);
-  const auto vec = logic::randomPattern(sim.sourceCount(), rng);
-  const double l1 =
-      LeakageEstimator(nl, lib(), one).estimate(vec).total.total();
-  const double l4 =
-      LeakageEstimator(nl, lib(), deep).estimate(vec).total.total();
+  const auto vec = logic::randomPattern(plan1.sourceCount(), rng);
+  const double l1 = plan1.estimate(vec, ws1).total.total();
+  const double l4 = plan4.estimate(vec, ws4).total.total();
   EXPECT_LT(std::abs(l4 - l1) / l1, 0.005);
 }
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/characterizer.h"
-#include "core/estimator.h"
+#include "core/estimation_plan.h"
 #include "logic/bench_io.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
@@ -152,14 +152,16 @@ const core::LeakageLibrary& fuzzLibrary() {
 /// must match to the last bit.
 void expectSameLeakage(const LogicNetlist& a, const LogicNetlist& b,
                        int patterns, Rng& rng) {
-  const core::LeakageEstimator est_a(a, fuzzLibrary());
-  const core::LeakageEstimator est_b(b, fuzzLibrary());
-  ASSERT_EQ(est_a.sourceCount(), est_b.sourceCount());
+  const core::EstimationPlan plan_a(a, fuzzLibrary());
+  const core::EstimationPlan plan_b(b, fuzzLibrary());
+  ASSERT_EQ(plan_a.sourceCount(), plan_b.sourceCount());
+  core::EstimationWorkspace ws_a(plan_a);
+  core::EstimationWorkspace ws_b(plan_b);
   for (int p = 0; p < patterns; ++p) {
     const std::vector<bool> pattern =
-        randomPattern(est_a.sourceCount(), rng);
-    const auto ra = est_a.estimate(pattern).total;
-    const auto rb = est_b.estimate(pattern).total;
+        randomPattern(plan_a.sourceCount(), rng);
+    const auto ra = plan_a.estimate(pattern, ws_a).total;
+    const auto rb = plan_b.estimate(pattern, ws_b).total;
     EXPECT_EQ(ra.subthreshold, rb.subthreshold) << "pattern " << p;
     EXPECT_EQ(ra.gate, rb.gate) << "pattern " << p;
     EXPECT_EQ(ra.btbt, rb.btbt) << "pattern " << p;
