@@ -101,10 +101,8 @@ std::vector<std::vector<VectorTable>> Characterizer::characterizeKind(
       table.subthreshold = Grid2D(n, n);
       table.gate = Grid2D(n, n);
       table.btbt = Grid2D(n, n);
-      if (options_.store_pin_current_grids) {
-        table.pin_current_grid.assign(static_cast<std::size_t>(pins),
-                                      Grid2D(n, n));
-      }
+      table.pin_current_grid.assign(static_cast<std::size_t>(pins),
+                                    Grid2D(n, n));
 
       // Stores one solved grid point into the table (shared by the scalar
       // scan and the batched scan).
@@ -118,11 +116,9 @@ std::vector<std::vector<VectorTable>> Characterizer::characterizeKind(
           table.nominal = result.leakage;
           table.pin_current = result.pin_currents_into_net;
         }
-        if (options_.store_pin_current_grids) {
-          for (int k = 0; k < pins; ++k) {
-            table.pin_current_grid[static_cast<std::size_t>(k)].at(i, j) =
-                result.pin_currents_into_net[static_cast<std::size_t>(k)];
-          }
+        for (int k = 0; k < pins; ++k) {
+          table.pin_current_grid[static_cast<std::size_t>(k)].at(i, j) =
+              result.pin_currents_into_net[static_cast<std::size_t>(k)];
         }
       };
 

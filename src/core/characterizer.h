@@ -43,9 +43,6 @@ struct CharacterizationOptions {
   /// high-fanout nets.
   std::vector<double> loading_grid = {0.0,    0.25e-6, 0.5e-6, 1.0e-6,
                                       2.0e-6, 3.0e-6,  4.5e-6, 6.0e-6};
-  /// Also record pin-current surfaces (enables the estimator's iterative
-  /// propagation mode).
-  bool store_pin_current_grids = true;
   /// Solve strategy (see SolverPath).
   SolverPath solver_path = SolverPath::kBatched;
 };

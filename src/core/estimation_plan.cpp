@@ -109,8 +109,6 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
       gate_count_(netlist.gateCount()),
       net_count_(netlist.netCount()),
       simulator_(netlist) {
-  require(options_.propagation_iterations >= 1,
-          "EstimationPlan: propagation_iterations must be >= 1");
   std::size_t pin_count = 0;
   for (const logic::Gate& gate : netlist_.gates()) {
     pin_count += gate.inputs.size();
@@ -131,7 +129,8 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
       const VectorTable& inv = library_.table(gates::GateKind::kInv, level);
       require(inv.pin_current.size() == 1,
               "EstimationPlan: INV table needs one pin current");
-      dff_pin_current_[level] = inv.pin_current[0];
+      dff_pin_current_[level] =
+          options_.with_loading ? inv.pin_current[0] : 0.0;
     }
     dff_load_count_.resize(net_count_);
     for (NetId net = 0; net < net_count_; ++net) {
@@ -214,31 +213,34 @@ std::uint32_t EstimationPlan::appendKindTables(gates::GateKind kind,
     const auto shaped = [&](const Grid2D& grid) {
       return grid.rows() == rows && grid.cols() == cols;
     };
-    bool well_formed = table.pin_current.size() == pins &&
-                       table.pin_current_grid.size() <= pins &&
-                       shaped(table.subthreshold) && shaped(table.gate) &&
-                       shaped(table.btbt);
-    for (const Grid2D& grid : table.pin_current_grid) {
-      well_formed = well_formed && shaped(grid);
-    }
-    if (!well_formed) {
+    if (table.pin_current.size() != pins || !shaped(table.subthreshold) ||
+        !shaped(table.gate) || !shaped(table.btbt)) {
       throwError(std::string("EstimationPlan: malformed table for ") +
                  gates::toString(kind));
     }
     require(rows <= std::numeric_limits<std::uint16_t>::max() &&
                 cols <= std::numeric_limits<std::uint16_t>::max(),
             "EstimationPlan: loading axis too long");
+    // Without loading a table compiles to one point at IL = OL = 0 that
+    // holds the isolated nominal, with zero pin currents: every gate then
+    // sees IL = OL = +0, and the lookup returns the isolated value bit for
+    // bit (a one-point axis locates to {0, 0}, and Bilinear returns its
+    // one cell unchanged).
+    const bool loaded = options_.with_loading;
     const TableBlock block{static_cast<std::uint32_t>(arena_.size()),
-                           static_cast<std::uint16_t>(rows),
-                           static_cast<std::uint16_t>(cols),
-                           static_cast<std::uint16_t>(pins),
-                           static_cast<std::uint16_t>(
-                               table.pin_current_grid.size())};
+                           static_cast<std::uint16_t>(loaded ? rows : 1),
+                           static_cast<std::uint16_t>(loaded ? cols : 1),
+                           static_cast<std::uint16_t>(pins)};
     require(block.end() <= std::numeric_limits<std::uint32_t>::max(),
             "EstimationPlan: table arena exceeds 32-bit offsets");
-    arena_.push_back(table.isolated_nominal.subthreshold);
-    arena_.push_back(table.isolated_nominal.gate);
-    arena_.push_back(table.isolated_nominal.btbt);
+    blocks_.push_back(block);
+    if (!loaded) {
+      arena_.insert(arena_.end(), pins + 2, 0.0);  // pins, IL axis, OL axis
+      arena_.push_back(table.isolated_nominal.subthreshold);
+      arena_.push_back(table.isolated_nominal.gate);
+      arena_.push_back(table.isolated_nominal.btbt);
+      continue;
+    }
     arena_.insert(arena_.end(), table.pin_current.begin(),
                   table.pin_current.end());
     arena_.insert(arena_.end(), table.il_axis.points().begin(),
@@ -250,10 +252,6 @@ std::uint32_t EstimationPlan::appendKindTables(gates::GateKind kind,
       arena_.push_back(table.gate.values()[cell]);
       arena_.push_back(table.btbt.values()[cell]);
     }
-    for (const Grid2D& grid : table.pin_current_grid) {
-      arena_.insert(arena_.end(), grid.values().begin(), grid.values().end());
-    }
-    blocks_.push_back(block);
   }
   return first;
 }
@@ -292,31 +290,6 @@ void EstimationPlan::loadNominalPinCurrents(EstimationWorkspace& ws,
   }
 }
 
-Bilinear EstimationPlan::locateLoading(const TableBlock& block,
-                                       const GateEstimate& estimate,
-                                       std::size_t stride) const {
-  const double* arena = arena_.data();
-  return Bilinear(
-      locateOnAxis(arena + block.ilAxis(), block.rows, estimate.il),
-      locateOnAxis(arena + block.olAxis(), block.cols, estimate.ol),
-      block.rows, block.cols, stride);
-}
-
-void EstimationPlan::refinePinCurrents(EstimationWorkspace& ws,
-                                       GateId g) const {
-  const TableBlock& block = blocks_[ws.block_[g]];
-  const Bilinear at = locateLoading(block, ws.per_gate_[g], 1);
-  const double* arena = arena_.data();
-  const std::size_t grid_size = std::size_t{block.rows} * block.cols;
-  double* slots = ws.pin_current_.data() + pin_offset_[g];
-  for (std::size_t pin = 0; pin < block.pins; ++pin) {
-    // Pins without a stored surface keep their nominal current.
-    slots[pin] = pin < block.pin_grids
-                     ? at(arena + block.pinGrids() + pin * grid_size)
-                     : arena[block.pinCurrent() + pin];
-  }
-}
-
 double EstimationPlan::netInjection(const EstimationWorkspace& ws,
                                     NetId net) const {
   double sum = 0.0;
@@ -332,14 +305,8 @@ double EstimationPlan::netInjection(const EstimationWorkspace& ws,
   return sum;
 }
 
-void EstimationPlan::refreshAllInjections(EstimationWorkspace& ws) const {
-  for (NetId net = 0; net < net_count_; ++net) {
-    ws.net_injection_[net] = netInjection(ws, net);
-  }
-}
-
-void EstimationPlan::refreshGateLoading(EstimationWorkspace& ws,
-                                        GateId g) const {
+void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
+                                         GateId g) const {
   double il_total = 0.0;
   for (std::size_t slot = pin_offset_[g]; slot < pin_offset_[g + 1];
        ++slot) {
@@ -355,60 +322,32 @@ void EstimationPlan::refreshGateLoading(EstimationWorkspace& ws,
   GateEstimate& estimate = ws.per_gate_[g];
   estimate.il = il_total;
   estimate.ol = std::abs(ws.net_injection_[gate_output_[g]]);
+  lookupLeakage(blocks_[ws.block_[g]], estimate);
 }
 
 void EstimationPlan::lookupLeakage(const TableBlock& block,
                                    GateEstimate& estimate) const {
   // IL and OL are located once for all three components.
-  const Bilinear at = locateLoading(block, estimate, 3);
-  const double* cells = arena_.data() + block.cells();
+  const double* arena = arena_.data();
+  const Bilinear at(
+      locateOnAxis(arena + block.ilAxis(), block.rows, estimate.il),
+      locateOnAxis(arena + block.olAxis(), block.cols, estimate.ol),
+      block.rows, block.cols, 3);
+  const double* cells = arena + block.cells();
   estimate.leakage.subthreshold = at(cells);
   estimate.leakage.gate = at(cells + 1);
   estimate.leakage.btbt = at(cells + 2);
 }
 
-void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
-                                         GateId g) const {
-  refreshGateLoading(ws, g);
-  lookupLeakage(blocks_[ws.block_[g]], ws.per_gate_[g]);
-}
-
-GateEstimate EstimationPlan::isolatedEstimate(const TableBlock& block) const {
-  const double* isolated = arena_.data() + block.offset;
-  return GateEstimate{{isolated[0], isolated[1], isolated[2]}, 0.0, 0.0};
-}
-
 void EstimationPlan::computeAllFromValues(EstimationWorkspace& ws) const {
-  device::LeakageBreakdown total;
-  if (!options_.with_loading) {
-    // Traditional accumulation: isolated per-gate values at ideal rails
-    // (the paper's no-loading baseline).
-    for (GateId g = 0; g < gate_count_; ++g) {
-      refreshGateVector(ws, g);
-      ws.per_gate_[g] = isolatedEstimate(blocks_[ws.block_[g]]);
-      total += ws.per_gate_[g].leakage;
-    }
-    ws.total_ = total;
-    return;
-  }
-
-  // Iteration 0 uses the nominal characterization.
   for (GateId g = 0; g < gate_count_; ++g) {
     refreshGateVector(ws, g);
     loadNominalPinCurrents(ws, g);
   }
-  // Each further propagation level re-derives pin currents at the (IL,
-  // OL) of the level before. A gate's loading reads net injections and
-  // only its own pin slots, so refining gate by gate matches refining
-  // after every gate's loading.
-  for (int iter = 1; iter < options_.propagation_iterations; ++iter) {
-    refreshAllInjections(ws);
-    for (GateId g = 0; g < gate_count_; ++g) {
-      refreshGateLoading(ws, g);
-      refinePinCurrents(ws, g);
-    }
+  for (NetId net = 0; net < net_count_; ++net) {
+    ws.net_injection_[net] = netInjection(ws, net);
   }
-  refreshAllInjections(ws);
+  device::LeakageBreakdown total;
   for (GateId g = 0; g < gate_count_; ++g) {
     refreshGateEstimate(ws, g);
     total += ws.per_gate_[g].leakage;
@@ -484,25 +423,14 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
     return;
   }
 
-  const bool fallback =
-      (options_.with_loading && options_.propagation_iterations > 1) ||
-      ws.dirty_gates_.size() * kDeltaFallbackDen >=
-          gate_count_ * kDeltaFallbackNum;
-  if (fallback) {
+  if (ws.dirty_gates_.size() * kDeltaFallbackDen >=
+      gate_count_ * kDeltaFallbackNum) {
     estimateMetrics().fallback_full.increment();
     computeAllFromValues(ws);
     return;
   }
 
   estimateMetrics().incremental.increment();
-  if (!options_.with_loading) {
-    for (GateId g : ws.dirty_gates_) {
-      refreshGateVector(ws, g);
-      ws.per_gate_[g] = isolatedEstimate(blocks_[ws.block_[g]]);
-    }
-    resumTotal(ws);
-    return;
-  }
 
   // 1. Dirty gates changed input vector: new tables, new nominal pin
   //    currents.
@@ -603,19 +531,6 @@ void EstimationPlan::evaluateBlock(std::span<const std::vector<bool>> patterns,
   if (count == 0) {
     return;
   }
-  if (options_.with_loading && options_.propagation_iterations > 1) {
-    // Further propagation levels refine per-pin currents, which the block
-    // scratch does not hold: the single-pattern path runs them.
-    for (std::size_t i = 0; i < count; ++i) {
-      evaluateFull(patterns[i], ws);
-      if (out != nullptr) {
-        finishResult(ws, out[i]);
-      } else {
-        totals[i] = ws.total_;
-      }
-    }
-    return;
-  }
 
   estimateMetrics().blocked.add(count);
   if (!ws.block_scratch_) {
@@ -657,31 +572,25 @@ void EstimationPlan::evaluateBlock(std::span<const std::vector<bool>> patterns,
       for (std::size_t i = 0; i < count; ++i) {
         block[i] = &blocks_[gate_block_[g] + blockVector(vectors, i)];
       }
+      // refreshGateEstimate() per pattern: each pin sees its net minus its
+      // own nominal current.
       std::array<GateEstimate, kBlockPatterns> estimate;
-      if (!options_.with_loading) {
+      for (std::size_t slot = pin_offset_[g]; slot < pin_offset_[g + 1];
+           ++slot) {
+        if (!pin_loadable_[slot]) {
+          continue;
+        }
+        const double* net = injection + pin_net_[slot] * kBlockPatterns;
+        const std::size_t pin = slot - pin_offset_[g];
         for (std::size_t i = 0; i < count; ++i) {
-          estimate[i] = isolatedEstimate(*block[i]);
+          estimate[i].il +=
+              std::abs(net[i] - arena[block[i]->pinCurrent() + pin]);
         }
-      } else {
-        // refreshGateLoading() per pattern: each pin sees its net minus its
-        // own nominal current.
-        for (std::size_t slot = pin_offset_[g]; slot < pin_offset_[g + 1];
-             ++slot) {
-          if (!pin_loadable_[slot]) {
-            continue;
-          }
-          const double* net = injection + pin_net_[slot] * kBlockPatterns;
-          const std::size_t pin = slot - pin_offset_[g];
-          for (std::size_t i = 0; i < count; ++i) {
-            estimate[i].il +=
-                std::abs(net[i] - arena[block[i]->pinCurrent() + pin]);
-          }
-        }
-        const double* output = injection + gate_output_[g] * kBlockPatterns;
-        for (std::size_t i = 0; i < count; ++i) {
-          estimate[i].ol = std::abs(output[i]);
-          lookupLeakage(*block[i], estimate[i]);
-        }
+      }
+      const double* output = injection + gate_output_[g] * kBlockPatterns;
+      for (std::size_t i = 0; i < count; ++i) {
+        estimate[i].ol = std::abs(output[i]);
+        lookupLeakage(*block[i], estimate[i]);
       }
       for (std::size_t i = 0; i < count; ++i) {
         total[i] += estimate[i].leakage;
@@ -705,9 +614,7 @@ void EstimationPlan::scatterBlock(std::size_t count,
   EstimationWorkspace::BlockScratch& scratch = *ws.block_scratch_;
   const std::uint64_t* values = scratch.values.data();
   scratch.vectors.resize(gate_count_);
-  if (options_.with_loading) {
-    scratch.injection.assign(net_count_ * kBlockPatterns, 0.0);
-  }
+  scratch.injection.assign(net_count_ * kBlockPatterns, 0.0);
   const double* arena = arena_.data();
   double* injection = scratch.injection.data();
   for (GateId g = 0; g < gate_count_; ++g) {
@@ -718,9 +625,6 @@ void EstimationPlan::scatterBlock(std::size_t count,
       vectors |= kSpreadBits[values[pin_net_[first + pin]] & 0xff] << pin;
     }
     scratch.vectors[g] = vectors;
-    if (!options_.with_loading) {
-      continue;
-    }
     // Gates ascending, pins ascending: each net receives its pin currents
     // in fanout order, as netInjection() adds them.
     std::array<const double*, kBlockPatterns> nominal;
@@ -736,7 +640,7 @@ void EstimationPlan::scatterBlock(std::size_t count,
       }
     }
   }
-  if (options_.with_loading && has_dffs_) {
+  if (has_dffs_) {
     // The DFF term after the fanout sum, on every net (a load count of 0
     // included), as netInjection() adds it.
     for (NetId net = 0; net < net_count_; ++net) {
@@ -770,6 +674,82 @@ void EstimationWorkspace::sizeFullPath() {
   changed_nets_.reserve(plan.net_count_);
   dirty_nets_.reserve(plan.net_count_);
   full_path_sized_ = true;
+}
+
+EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
+                                 const LeakageLibrary& library,
+                                 const EstimatorOptions& options,
+                                 const std::vector<bool>& source_values,
+                                 int levels) {
+  require(levels >= 1, "referenceEstimate: levels must be >= 1");
+  std::vector<bool> values;
+  logic::LogicSimulator(netlist).simulateInto(source_values, values);
+  const std::size_t gate_count = netlist.gateCount();
+  std::vector<const VectorTable*> table(gate_count);
+  for (GateId g = 0; g < gate_count; ++g) {
+    std::vector<bool> inputs;
+    for (NetId net : netlist.gate(g).inputs) {
+      inputs.push_back(values[net]);
+    }
+    table[g] = &library.table(netlist.gate(g).kind, vectorIndex(inputs));
+  }
+
+  EstimateResult result;
+  result.per_gate.resize(gate_count);
+  if (!options.with_loading) {
+    for (GateId g = 0; g < gate_count; ++g) {
+      result.per_gate[g].leakage = table[g]->isolated_nominal;
+      result.total += result.per_gate[g].leakage;
+    }
+    return result;
+  }
+
+  std::vector<std::vector<double>> current(gate_count);
+  for (GateId g = 0; g < gate_count; ++g) {
+    current[g] = table[g]->pin_current;
+  }
+  for (int level = 0; level < levels; ++level) {
+    std::vector<double> injection(netlist.netCount());
+    for (NetId net = 0; net < netlist.netCount(); ++net) {
+      double sum = 0.0;
+      for (const logic::PinRef& ref : netlist.fanout(net)) {
+        sum += current[ref.gate][static_cast<std::size_t>(ref.pin)];
+      }
+      if (!netlist.dffs().empty()) {
+        sum += static_cast<double>(netlist.dffLoadCount(net)) *
+               library.table(gates::GateKind::kInv, values[net] ? 1 : 0)
+                   .pin_current[0];
+      }
+      injection[net] = sum;
+    }
+    for (GateId g = 0; g < gate_count; ++g) {
+      const logic::Gate& gate = netlist.gate(g);
+      double il = 0.0;
+      for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+        const NetId net = gate.inputs[pin];
+        if (netlist.driverKind(net) != DriverKind::kPrimaryInput) {
+          il += std::abs(injection[net] - current[g][pin]);
+        }
+      }
+      result.per_gate[g].il = il;
+      result.per_gate[g].ol = std::abs(injection[gate.output]);
+    }
+    if (level + 1 < levels) {
+      for (GateId g = 0; g < gate_count; ++g) {
+        for (std::size_t pin = 0; pin < current[g].size(); ++pin) {
+          current[g][pin] = table[g]->pinCurrentAt(static_cast<int>(pin),
+                                                   result.per_gate[g].il,
+                                                   result.per_gate[g].ol);
+        }
+      }
+    }
+  }
+  for (GateId g = 0; g < gate_count; ++g) {
+    GateEstimate& estimate = result.per_gate[g];
+    estimate.leakage = table[g]->lookup(estimate.il, estimate.ol);
+    result.total += estimate.leakage;
+  }
+  return result;
 }
 
 }  // namespace nanoleak::core

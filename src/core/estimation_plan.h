@@ -5,15 +5,18 @@
 /// gate accumulate the input/output loading currents from the
 /// pre-characterized pin tunneling currents of its neighbours, and
 /// interpolate the gate's leakage decomposition from its (IL, OL) tables.
-/// One table pass is the paper's one-level propagation; more levels
-/// re-derive pin currents from the loaded tables (see EstimatorOptions).
+/// One table pass is the paper's one-level propagation, the only one a
+/// plan runs; referenceEstimate() evaluates deeper propagation.
 ///
 /// EstimationPlan is the "compiled" form of (netlist, library, options):
 /// gate input pins and net fanouts flattened into CSR arrays, every table
 /// the netlist reads copied into one contiguous arena (one 32-bit block
 /// index per gate, plus the input vector, names a gate's table), DFF load
-/// counts and the INV boundary pin currents baked in. A plan is immutable
-/// after construction and safe to share across threads.
+/// counts and the INV boundary pin currents baked in. The options only
+/// choose what compiles into the arena: without loading, each table is
+/// one point holding the isolated nominal, with zero pin and boundary
+/// currents. A plan is immutable after construction and safe to share
+/// across threads.
 ///
 /// EstimationWorkspace holds the per-execution SoA buffers (net values,
 /// resolved table blocks, pin currents, net injections, per-gate results).
@@ -27,11 +30,11 @@
 /// evaluates kBlockPatterns patterns at once, gate-major, from one
 /// bit-parallel logic simulation.
 ///
-/// All three paths are bit-identical to evaluating Fig. 13 directly over
-/// VectorTable::lookup / pinCurrentAt: the arena lookup runs the same
-/// locateOnAxis and Bilinear arithmetic on copies of the same values, and
-/// plan compilation only moves work, it never reorders a floating-point
-/// operation.
+/// All three paths evaluate the same one Fig. 13 and are bit-identical to
+/// referenceEstimate(), which evaluates it directly over
+/// VectorTable::lookup: the arena lookup runs the same locateOnAxis and
+/// Bilinear arithmetic on copies of the same values, and plan compilation
+/// only moves work, it never reorders a floating-point operation.
 #pragma once
 
 #include <cstddef>
@@ -49,11 +52,9 @@ namespace nanoleak::core {
 
 /// Estimator behaviour switches.
 struct EstimatorOptions {
-  /// false = traditional accumulation (tables at zero loading).
+  /// false = traditional accumulation: every gate contributes its
+  /// isolated nominal (VectorTable::isolated_nominal) at IL = OL = 0.
   bool with_loading = true;
-  /// 1 = the paper's one-level propagation; k > 1 refines pin currents
-  /// (k-level propagation); ignored when with_loading is false.
-  int propagation_iterations = 1;
 };
 
 /// Per-gate estimate details.
@@ -106,9 +107,8 @@ class EstimationPlan {
  public:
   /// Compiles the plan. Requires the library to cover every gate kind in
   /// the netlist (INV additionally when the netlist has DFFs, for the
-  /// boundary model), every table to carry one pin current per gate pin
-  /// and grids shaped like its axes, and propagation_iterations >= 1.
-  /// Throws nanoleak::Error otherwise.
+  /// boundary model), and every table to carry one pin current per gate
+  /// pin and grids shaped like its axes. Throws nanoleak::Error otherwise.
   EstimationPlan(const logic::LogicNetlist& netlist,
                  const LeakageLibrary& library,
                  EstimatorOptions options = {});
@@ -139,9 +139,8 @@ class EstimationPlan {
   /// estimate()/estimateDelta() on this plan, re-simulating only the
   /// fanout cone of the flipped source bits and re-estimating only dirty
   /// gates and their net neighbourhoods. Falls back to full evaluation on
-  /// a cold workspace, when propagation_iterations > 1, or when the dirty
-  /// region is a large fraction of the circuit. Results are bit-identical
-  /// to estimate() in every case.
+  /// a cold workspace or when the dirty gates are a large fraction of the
+  /// circuit. Results are bit-identical to estimate() in every case.
   void estimateDelta(const std::vector<bool>& source_values,
                      EstimationWorkspace& ws, EstimateResult& out) const;
   /// estimateDelta() for callers that read only the whole-circuit total:
@@ -155,11 +154,9 @@ class EstimationPlan {
   /// selects every (gate, pattern) table and scatters its nominal pin
   /// currents into per-(net, pattern) injections, and one that computes
   /// IL/OL and looks up each gate's leakage for every pattern. out[i] is
-  /// bit-identical to estimate(patterns[i]). Plans with
-  /// propagation_iterations > 1 evaluate pattern by pattern through the
-  /// workspace's full path. The workspace's estimateDelta() state stays
-  /// valid. Allocation-free once the workspace's block scratch and every
-  /// out[i] have warmed up.
+  /// bit-identical to estimate(patterns[i]). The workspace's
+  /// estimateDelta() state stays valid. Allocation-free once the
+  /// workspace's block scratch and every out[i] have warmed up.
   void estimateBlock(std::span<const std::vector<bool>> patterns,
                      EstimationWorkspace& ws,
                      std::span<EstimateResult> out) const;
@@ -191,37 +188,23 @@ class EstimationPlan {
                      EstimationWorkspace& ws, EstimateResult* out,
                      device::LeakageBreakdown* totals) const;
   /// The block path's first gate pass: every gate's vector index per
-  /// pattern into the block scratch, and (with loading) the block's
-  /// per-(net, pattern) injections.
+  /// pattern into the block scratch, and the block's per-(net, pattern)
+  /// injections.
   void scatterBlock(std::size_t count, EstimationWorkspace& ws) const;
   /// Table block of one gate from current net values.
   void refreshGateVector(EstimationWorkspace& ws, logic::GateId g) const;
   /// The nominal pin currents of one gate's table into its pin slots.
   void loadNominalPinCurrents(EstimationWorkspace& ws, logic::GateId g) const;
   struct TableBlock;
-  /// The interpolation at a gate's (IL, OL) on a block's grid, for cells
-  /// `stride` values apart.
-  Bilinear locateLoading(const TableBlock& block,
-                         const GateEstimate& estimate,
-                         std::size_t stride) const;
-  /// Pin currents of one gate's table at its current (IL, OL), for the
-  /// next propagation level.
-  void refinePinCurrents(EstimationWorkspace& ws, logic::GateId g) const;
   /// IL/OL of one gate from current injections and pin currents (the
-  /// paper's IL-IN rule).
-  void refreshGateLoading(EstimationWorkspace& ws, logic::GateId g) const;
-  /// refreshGateLoading + lookupLeakage into the per-gate result: the
+  /// paper's IL-IN rule), then lookupLeakage into the per-gate result: the
   /// per-gate step of the full and the delta paths.
   void refreshGateEstimate(EstimationWorkspace& ws, logic::GateId g) const;
   /// The leakage of a block's table at the estimate's (IL, OL): the one
   /// lookup of every path, so they cannot drift.
   void lookupLeakage(const TableBlock& block, GateEstimate& estimate) const;
-  /// The isolated (no-loading) estimate of a block's table.
-  GateEstimate isolatedEstimate(const TableBlock& block) const;
   /// Net injection from current pin currents and values.
   double netInjection(const EstimationWorkspace& ws, logic::NetId net) const;
-  /// Injections of every net.
-  void refreshAllInjections(EstimationWorkspace& ws) const;
   /// Everything after logic simulation, for all gates.
   void computeAllFromValues(EstimationWorkspace& ws) const;
   /// Re-sums the whole-circuit total from per-gate leakages (gate order).
@@ -259,35 +242,30 @@ class EstimationPlan {
   std::vector<Index> net_driver_gate_;
 
   // DFF boundary model: D pins load their nets like an INV input at the
-  // net's logic level (the nominal INV pin current at input 0 and 1).
+  // net's logic level (the nominal INV pin current at input 0 and 1; zero
+  // without loading).
   bool has_dffs_ = false;
   std::vector<int> dff_load_count_;
   double dff_pin_current_[2] = {0.0, 0.0};
 
   // Table arena: every (kind, input vector) table the gates read, copied
-  // into one contiguous array. A block holds isolated_nominal (sub, gate,
-  // btbt), the nominal pin currents, the IL then the OL axis points, the
-  // (sub, gate, btbt) cells interleaved per grid point (row-major, one row
-  // per IL point), then one rows x cols surface per stored pin-current
-  // grid.
+  // into one contiguous array. A block holds the nominal pin currents, the
+  // IL then the OL axis points, and the (sub, gate, btbt) cells
+  // interleaved per grid point (row-major, one row per IL point). Without
+  // loading a block is one point: zero pin currents, IL = OL = 0, and the
+  // isolated nominal as its one cell, which the lookup returns unchanged.
   struct TableBlock {
-    std::uint32_t offset;     // arena index of the block's first value
-    std::uint16_t rows;       // IL axis points
-    std::uint16_t cols;       // OL axis points
-    std::uint16_t pins;       // nominal pin currents
-    std::uint16_t pin_grids;  // stored pin-current surfaces (<= pins)
+    std::uint32_t offset;  // arena index of the block's first value
+    std::uint16_t rows;    // IL axis points
+    std::uint16_t cols;    // OL axis points
+    std::uint16_t pins;    // nominal pin currents
 
     // Arena indices of the block's sections.
-    std::size_t pinCurrent() const { return offset + 3; }
+    std::size_t pinCurrent() const { return offset; }
     std::size_t ilAxis() const { return pinCurrent() + pins; }
     std::size_t olAxis() const { return ilAxis() + rows; }
     std::size_t cells() const { return olAxis() + cols; }
-    std::size_t pinGrids() const {
-      return cells() + std::size_t{3} * rows * cols;
-    }
-    std::size_t end() const {
-      return pinGrids() + std::size_t{pin_grids} * rows * cols;
-    }
+    std::size_t end() const { return cells() + std::size_t{3} * rows * cols; }
   };
   std::vector<double> arena_;
   std::vector<TableBlock> blocks_;
@@ -345,5 +323,23 @@ class EstimationWorkspace {
   std::vector<logic::GateId> touched_gates_;
   std::vector<char> gate_mark_;
 };
+
+/// Fig. 13 evaluated gate by gate with no plan, the reference the plan's
+/// paths are pinned against: logic values from LogicSimulator, each net's
+/// injection the sum of its fanout pins' currents in netlist.fanout()
+/// order plus an INV input current per DFF D pin, the IL-IN rule (each
+/// pin sees its net minus its own current; primary-input nets are ideal),
+/// VectorTable::lookup at the resulting (IL, OL), and the total summed in
+/// gate order. `levels` is the propagation depth: level 1 (the paper's,
+/// and the plan's) uses the nominal pin currents; each further level
+/// re-derives every pin current with VectorTable::pinCurrentAt at the
+/// (IL, OL) of the level before. Without loading every gate reads its
+/// isolated nominal at IL = OL = 0, whatever `levels`. Throws
+/// nanoleak::Error on levels < 1, a wrong source count or a missing table.
+EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
+                                 const LeakageLibrary& library,
+                                 const EstimatorOptions& options,
+                                 const std::vector<bool>& source_values,
+                                 int levels = 1);
 
 }  // namespace nanoleak::core

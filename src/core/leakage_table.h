@@ -170,8 +170,9 @@ struct VectorTable {
   Grid2D gate;
   /// Junction-BTBT leakage surface [A], indexed (il, ol).
   Grid2D btbt;
-  /// Pin-current surfaces [A] for iterative propagation (optional; empty
-  /// when the library was built without them).
+  /// Pin-current surfaces [A], one per input pin, indexed (il, ol). Only
+  /// referenceEstimate() reads them, for propagation beyond one level
+  /// (the Characterizer always stores them; hand-built tables may not).
   std::vector<Grid2D> pin_current_grid;
 
   /// Interpolated decomposition at input/output loading magnitudes [A].

@@ -41,17 +41,14 @@ std::string PlanCache::contentKey(
   // Technology corner: exact hexfloat fingerprint shared with the table
   // cache, so the two caches agree on what "same corner" means.
   key << "|tech:" << TableCache::technologyKey(technology);
-  // Estimator + characterization knobs that change the compiled tables
-  // or the propagation the plan bakes in.
-  key << "|est:" << estimator_options.with_loading << '/'
-      << estimator_options.propagation_iterations;
+  // Estimator + characterization knobs that change the compiled tables.
+  key << "|est:" << estimator_options.with_loading;
   key << "|grid:" << std::hexfloat;
   for (double amps : characterization_options.loading_grid) {
     key << amps << ',';
   }
-  key << std::defaultfloat
-      << "|pins:" << characterization_options.store_pin_current_grids
-      << "|solver:" << static_cast<int>(characterization_options.solver_path);
+  key << std::defaultfloat << "|solver:"
+      << static_cast<int>(characterization_options.solver_path);
   return key.str();
 }
 

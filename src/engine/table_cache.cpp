@@ -73,7 +73,7 @@ std::string TableCache::cornerKey(
   for (double amps : options.loading_grid) {
     key << amps << ',';
   }
-  key << std::defaultfloat << "|pins:" << options.store_pin_current_grids
+  key << std::defaultfloat
       << "|solver:" << static_cast<int>(options.solver_path);
   return key.str();
 }

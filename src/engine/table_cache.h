@@ -52,9 +52,8 @@ class TableCache {
   /// Characterized tables (all input vectors) of one gate kind under one
   /// technology corner: the one-temperature axis {technology.temperature_k},
   /// characterized on miss and returned without a copy. Only
-  /// options.loading_grid, options.store_pin_current_grids and
-  /// options.solver_path affect the result (and the key); options.kinds
-  /// is ignored.
+  /// options.loading_grid and options.solver_path affect the result (and
+  /// the key); options.kinds is ignored.
   std::shared_ptr<const KindTables> kindTables(
       const device::Technology& technology, gates::GateKind kind,
       const core::CharacterizationOptions& options = {});

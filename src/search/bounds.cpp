@@ -14,27 +14,13 @@ using logic::NetId;
 
 namespace {
 
-/// Worst-case |current| pin `pin` of `table` can inject into its net.
-/// Covers the nominal value and, when iterative propagation can refine
-/// pin currents from the stored surfaces, every surface value too.
-double maxAbsPinCurrent(const core::VectorTable& table, std::size_t pin,
-                        bool refinable) {
-  double m = std::abs(table.pin_current[pin]);
-  if (refinable && pin < table.pin_current_grid.size()) {
-    for (double v : table.pin_current_grid[pin].values()) {
-      m = std::max(m, std::abs(v));
-    }
-  }
-  return m;
-}
-
-/// Worst-case |current| any pin of gate kind `kind` can inject, maximized
-/// over the kind's input vectors.
-double maxAbsPinCurrentOfPin(const std::vector<core::VectorTable>& tables,
-                             std::size_t pin, bool refinable) {
+/// Worst-case |current| pin `pin` of a gate kind can inject into its net:
+/// the largest nominal |current| over the kind's input vectors.
+double maxAbsPinCurrent(const std::vector<core::VectorTable>& tables,
+                        std::size_t pin) {
   double m = 0.0;
   for (const core::VectorTable& t : tables) {
-    m = std::max(m, maxAbsPinCurrent(t, pin, refinable));
+    m = std::max(m, std::abs(t.pin_current[pin]));
   }
   return m;
 }
@@ -59,7 +45,6 @@ LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
   const logic::LogicNetlist& netlist = plan.netlist();
   const core::LeakageLibrary& library = plan.library();
   const bool with_loading = plan.options().with_loading;
-  const bool refinable = plan.options().propagation_iterations > 1;
 
   offset_.assign(netlist.gateCount() + 1, 0);
   for (GateId g = 0; g < netlist.gateCount(); ++g) {
@@ -75,20 +60,15 @@ LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
   std::vector<double> net_max_abs(netlist.netCount(), 0.0);
   double dff_pin_max = 0.0;
   if (!netlist.dffs().empty()) {
-    dff_pin_max = std::max(
-        maxAbsPinCurrent(library.table(gates::GateKind::kInv, 0), 0,
-                         refinable),
-        maxAbsPinCurrent(library.table(gates::GateKind::kInv, 1), 0,
-                         refinable));
+    dff_pin_max = maxAbsPinCurrent(library.tables(gates::GateKind::kInv), 0);
   }
   if (with_loading) {
     for (NetId net = 0; net < netlist.netCount(); ++net) {
       double sum = 0.0;
       for (const logic::PinRef& ref : netlist.fanout(net)) {
         const logic::Gate& gate = netlist.gate(ref.gate);
-        sum += maxAbsPinCurrentOfPin(library.tables(gate.kind),
-                                     static_cast<std::size_t>(ref.pin),
-                                     refinable);
+        sum += maxAbsPinCurrent(library.tables(gate.kind),
+                                static_cast<std::size_t>(ref.pin));
       }
       sum += static_cast<double>(netlist.dffLoadCount(net)) * dff_pin_max;
       net_max_abs[net] = sum;

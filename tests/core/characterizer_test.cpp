@@ -99,19 +99,20 @@ TEST(CharacterizerTest, PinCurrentSignsFollowPinLevels) {
 }
 
 TEST(CharacterizerTest, FullLibraryCoversGeneratorKinds) {
-  CharacterizationOptions options = smallGrid(generatorGateKinds());
-  options.store_pin_current_grids = false;
-  const Characterizer chr(device::defaultTechnology(), options);
+  const Characterizer chr(device::defaultTechnology(),
+                          smallGrid(generatorGateKinds()));
   const LeakageLibrary lib = chr.characterize();
   for (gates::GateKind kind : generatorGateKinds()) {
-    EXPECT_TRUE(lib.has(kind)) << gates::toString(kind);
+    ASSERT_TRUE(lib.has(kind)) << gates::toString(kind);
+    // Every vector carries one nominal pin current and one pin-current
+    // surface per input pin.
+    const auto pins = static_cast<std::size_t>(gates::inputCount(kind));
+    for (const VectorTable& t : lib.tables(kind)) {
+      EXPECT_EQ(t.pin_current.size(), pins) << gates::toString(kind);
+      EXPECT_EQ(t.pin_current_grid.size(), pins) << gates::toString(kind);
+    }
   }
   EXPECT_EQ(lib.meta().vdd, device::defaultTechnology().vdd);
-  // store_pin_current_grids=false leaves grids empty but keeps nominal
-  // pin currents.
-  const VectorTable& t = lib.table(gates::GateKind::kInv, 0);
-  EXPECT_TRUE(t.pin_current_grid.empty());
-  EXPECT_EQ(t.pin_current.size(), 1u);
 }
 
 std::vector<VectorTable> tablesFor(

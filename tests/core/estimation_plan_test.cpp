@@ -1,27 +1,31 @@
 // Equivalence contract of the compile-once / execute-many split: the
 // EstimationPlan + EstimationWorkspace paths (full, incremental delta and
 // pattern block) are bit-identical, on every LeakageBreakdown field and
-// IL/OL of every gate, to an independent reference that evaluates the
-// paper's Fig. 13 directly from the netlist and the library's
-// VectorTables - across randomized circuits, patterns, single-bit-flip
-// walks, full and partial pattern blocks, propagation iteration counts,
-// DFF-bearing netlists, the no-loading mode, and a hand-built library
-// whose vectors have different axis lengths. The cases after it pin the
-// Fig. 13 behaviour itself: plan compilation rejects what it cannot
-// estimate, and loading shows up where the paper says it does.
+// IL/OL of every gate, to referenceEstimate(), which evaluates the paper's
+// Fig. 13 directly from the netlist and the library's VectorTables -
+// across randomized circuits, patterns, single-bit-flip walks, full and
+// partial pattern blocks, DFF-bearing netlists, the no-loading mode, and a
+// hand-built library whose vectors have different axis lengths. The cases
+// after it pin the Fig. 13 behaviour itself: plan compilation rejects
+// what it cannot estimate, loading shows up where the paper says it does,
+// and propagation beyond one level (the reference's alone) changes little.
 #include "core/estimation_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/characterizer.h"
 #include "logic/generators.h"
 #include "logic/logic_sim.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -56,88 +60,6 @@ void expectExactlyEqual(const EstimateResult& expected,
     ASSERT_EQ(e.il, a.il) << context << " gate " << g;
     ASSERT_EQ(e.ol, a.ol) << context << " gate " << g;
   }
-}
-
-/// Fig. 13 evaluated gate by gate with no plan: logic values from
-/// LogicSimulator, each net's injection the sum of its fanout pins'
-/// VectorTable::pin_current in netlist.fanout() order plus an INV input
-/// current per DFF D pin, the IL-IN rule (each pin sees its net minus its
-/// own current; primary-input nets are ideal), VectorTable::lookup at the
-/// resulting (IL, OL), pinCurrentAt for further propagation levels, and
-/// the total summed in gate order.
-EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
-                                 const LeakageLibrary& library,
-                                 const EstimatorOptions& options,
-                                 const std::vector<bool>& source_values) {
-  std::vector<bool> values;
-  logic::LogicSimulator(netlist).simulateInto(source_values, values);
-  const std::size_t gates = netlist.gateCount();
-  std::vector<const VectorTable*> table(gates);
-  for (logic::GateId g = 0; g < gates; ++g) {
-    std::vector<bool> inputs;
-    for (logic::NetId net : netlist.gate(g).inputs) {
-      inputs.push_back(values[net]);
-    }
-    table[g] = &library.table(netlist.gate(g).kind, vectorIndex(inputs));
-  }
-
-  EstimateResult result;
-  result.per_gate.resize(gates);
-  if (!options.with_loading) {
-    for (logic::GateId g = 0; g < gates; ++g) {
-      result.per_gate[g].leakage = table[g]->isolated_nominal;
-      result.total += result.per_gate[g].leakage;
-    }
-    return result;
-  }
-
-  std::vector<std::vector<double>> current(gates);
-  for (logic::GateId g = 0; g < gates; ++g) {
-    current[g] = table[g]->pin_current;
-  }
-  for (int iter = 0; iter < options.propagation_iterations; ++iter) {
-    std::vector<double> injection(netlist.netCount());
-    for (logic::NetId net = 0; net < netlist.netCount(); ++net) {
-      double sum = 0.0;
-      for (const logic::PinRef& ref : netlist.fanout(net)) {
-        sum += current[ref.gate][static_cast<std::size_t>(ref.pin)];
-      }
-      if (!netlist.dffs().empty()) {
-        sum += static_cast<double>(netlist.dffLoadCount(net)) *
-               library.table(gates::GateKind::kInv, values[net] ? 1 : 0)
-                   .pin_current[0];
-      }
-      injection[net] = sum;
-    }
-    for (logic::GateId g = 0; g < gates; ++g) {
-      const logic::Gate& gate = netlist.gate(g);
-      double il = 0.0;
-      for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
-        const logic::NetId net = gate.inputs[pin];
-        if (netlist.driverKind(net) != logic::DriverKind::kPrimaryInput) {
-          il += std::abs(injection[net] - current[g][pin]);
-        }
-      }
-      result.per_gate[g].il = il;
-      result.per_gate[g].ol = std::abs(injection[gate.output]);
-    }
-    if (iter + 1 < options.propagation_iterations) {
-      for (logic::GateId g = 0; g < gates; ++g) {
-        for (std::size_t pin = 0; pin < current[g].size(); ++pin) {
-          current[g][pin] =
-              table[g]->pinCurrentAt(static_cast<int>(pin),
-                                     result.per_gate[g].il,
-                                     result.per_gate[g].ol);
-        }
-      }
-    }
-  }
-  for (logic::GateId g = 0; g < gates; ++g) {
-    GateEstimate& estimate = result.per_gate[g];
-    estimate.leakage = table[g]->lookup(estimate.il, estimate.ol);
-    result.total += estimate.leakage;
-  }
-  return result;
 }
 
 /// A delta on a cold workspace, random patterns (full path on a fresh and
@@ -240,23 +162,22 @@ void runEquivalence(const logic::LogicNetlist& netlist,
                      context + " delta jump");
 }
 
-/// Runs runEquivalence at one and three propagation levels and without
-/// loading.
+/// Runs runEquivalence with and without loading.
 void runAllModes(const logic::LogicNetlist& netlist,
                  const LeakageLibrary& library, const std::string& name,
                  std::uint64_t& seed, int random_patterns = 6,
                  int flip_steps = 24) {
-  for (int iterations : {1, 3}) {
-    EstimatorOptions options;
-    options.propagation_iterations = iterations;
-    runEquivalence(netlist, library, options,
-                   name + " iters=" + std::to_string(iterations), seed++,
-                   random_patterns, flip_steps);
-  }
+  runEquivalence(netlist, library, EstimatorOptions{}, name, seed++,
+                 random_patterns, flip_steps);
   EstimatorOptions no_loading;
   no_loading.with_loading = false;
   runEquivalence(netlist, library, no_loading, name + " no-loading",
                  seed++, random_patterns, flip_steps);
+}
+
+/// The s838-shaped synthetic: DFFs and several gate kinds.
+logic::LogicNetlist s838Like() {
+  return logic::synthesizeIscasLike(logic::iscasSpec("s838"), 20050307);
 }
 
 TEST(EstimationPlanTest, MatchesReferenceOnRandomCircuits) {
@@ -268,9 +189,7 @@ TEST(EstimationPlanTest, MatchesReferenceOnRandomCircuits) {
   cases.push_back({"c17", logic::c17()});
   cases.push_back({"fanout_star6", logic::fanoutStar(6)});
   cases.push_back({"mult44", logic::arrayMultiplier(4)});
-  cases.push_back(
-      {"s838_like", logic::synthesizeIscasLike(logic::iscasSpec("s838"),
-                                               20050307)});
+  cases.push_back({"s838_like", s838Like()});
 
   std::uint64_t seed = 7;
   for (const Case& c : cases) {
@@ -321,23 +240,19 @@ TEST(EstimationPlanTest, BlockScatterCoversFanoutEdgeCases) {
   for (unsigned bits = 0; bits < 8; ++bits) {
     all_patterns.push_back({(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0});
   }
-  for (int iterations : {1, 3}) {
-    for (bool with_loading : {true, false}) {
-      EstimatorOptions options;
-      options.propagation_iterations = iterations;
-      options.with_loading = with_loading;
-      const EstimationPlan plan(nl, sharedLibrary(), options);
-      EstimationWorkspace ws(plan);
-      std::vector<EstimateResult> blocked(all_patterns.size());
-      plan.estimateBlock(all_patterns, ws, blocked);
-      for (std::size_t i = 0; i < all_patterns.size(); ++i) {
-        expectExactlyEqual(
-            referenceEstimate(nl, sharedLibrary(), options, all_patterns[i]),
-            blocked[i],
-            "edge cases iters=" + std::to_string(iterations) +
-                (with_loading ? "" : " no-loading") + " pattern " +
-                std::to_string(i));
-      }
+  for (bool with_loading : {true, false}) {
+    EstimatorOptions options;
+    options.with_loading = with_loading;
+    const EstimationPlan plan(nl, sharedLibrary(), options);
+    EstimationWorkspace ws(plan);
+    std::vector<EstimateResult> blocked(all_patterns.size());
+    plan.estimateBlock(all_patterns, ws, blocked);
+    for (std::size_t i = 0; i < all_patterns.size(); ++i) {
+      expectExactlyEqual(
+          referenceEstimate(nl, sharedLibrary(), options, all_patterns[i]),
+          blocked[i],
+          std::string("edge cases") + (with_loading ? "" : " no-loading") +
+              " pattern " + std::to_string(i));
     }
   }
 }
@@ -370,10 +285,9 @@ Grid2D randomGrid(std::size_t rows, std::size_t cols, double lo, double hi,
   return grid;
 }
 
-/// A table on its own IL/OL axes, with random surfaces and pin currents
-/// and `pin_grids` stored pin-current surfaces.
+/// A table on its own IL/OL axes, with random surfaces and pin currents.
 VectorTable raggedTable(std::vector<double> il, std::vector<double> ol,
-                        std::size_t pins, std::size_t pin_grids, Rng& rng) {
+                        std::size_t pins, Rng& rng) {
   VectorTable table;
   const std::size_t rows = il.size();
   const std::size_t cols = ol.size();
@@ -389,30 +303,24 @@ VectorTable raggedTable(std::vector<double> il, std::vector<double> ol,
   table.subthreshold = randomGrid(rows, cols, 1e-9, 3e-9, rng);
   table.gate = randomGrid(rows, cols, 1e-9, 3e-9, rng);
   table.btbt = randomGrid(rows, cols, 1e-10, 3e-10, rng);
-  for (std::size_t pin = 0; pin < pin_grids; ++pin) {
-    table.pin_current_grid.push_back(
-        randomGrid(rows, cols, -2e-6, 2e-6, rng));
-  }
   return table;
 }
 
 /// INV and NAND2 tables whose vectors all differ in axis lengths: single
-/// point axes, short and long ones, and pin-current surfaces stored for
-/// all, some or none of a vector's pins.
+/// point axes, short and long ones.
 LeakageLibrary raggedLibrary() {
   Rng rng(1234);
   LeakageLibrary library;
   std::vector<VectorTable> inv;
-  inv.push_back(raggedTable({0.0}, {0.0, 1e-6, 3e-6}, 1, 1, rng));
-  inv.push_back(raggedTable({0.0, 2e-6}, {0.0}, 1, 0, rng));
+  inv.push_back(raggedTable({0.0}, {0.0, 1e-6, 3e-6}, 1, rng));
+  inv.push_back(raggedTable({0.0, 2e-6}, {0.0}, 1, rng));
   library.insert(gates::GateKind::kInv, std::move(inv));
   std::vector<VectorTable> nand;
-  nand.push_back(
-      raggedTable({0.0, 0.5e-6, 1e-6, 4e-6}, {0.0, 2e-6}, 2, 2, rng));
+  nand.push_back(raggedTable({0.0, 0.5e-6, 1e-6, 4e-6}, {0.0, 2e-6}, 2, rng));
   nand.push_back(raggedTable({0.0, 1e-6, 2e-6},
-                             {0.0, 0.7e-6, 1.5e-6, 5e-6, 9e-6}, 2, 1, rng));
-  nand.push_back(raggedTable({0.0}, {0.0}, 2, 2, rng));
-  nand.push_back(raggedTable({0.0, 3e-6}, {0.0, 1e-6, 2e-6}, 2, 0, rng));
+                             {0.0, 0.7e-6, 1.5e-6, 5e-6, 9e-6}, 2, rng));
+  nand.push_back(raggedTable({0.0}, {0.0}, 2, rng));
+  nand.push_back(raggedTable({0.0, 3e-6}, {0.0, 1e-6, 2e-6}, 2, rng));
   library.insert(gates::GateKind::kNand2, std::move(nand));
   return library;
 }
@@ -471,11 +379,12 @@ TEST(EstimationPlanTest, RejectsMissingKinds) {
   EXPECT_THROW(EstimationPlan(nl, empty), Error);
 }
 
-TEST(EstimationPlanTest, RejectsBadOptions) {
+TEST(EstimationPlanTest, ReferenceRejectsLevelsBelowOne) {
   const logic::LogicNetlist nl = logic::c17();
-  EstimatorOptions options;
-  options.propagation_iterations = 0;
-  EXPECT_THROW(EstimationPlan(nl, sharedLibrary(), options), Error);
+  const std::vector<bool> pattern(5, false);
+  EXPECT_THROW(referenceEstimate(nl, sharedLibrary(), {}, pattern, 0), Error);
+  EXPECT_THROW(referenceEstimate(nl, sharedLibrary(), {}, pattern, -1),
+               Error);
 }
 
 TEST(EstimationPlanTest, RejectsMalformedTables) {
@@ -496,13 +405,6 @@ TEST(EstimationPlanTest, RejectsMalformedTables) {
   nand[1].gate = Grid2D(3, 4);
   grid_shape.insert(gates::GateKind::kNand2, nand);
   EXPECT_FALSE(compiles(grid_shape));
-
-  // A pin-current surface shaped unlike its axes.
-  LeakageLibrary pin_grid_shape = raggedLibrary();
-  nand = pin_grid_shape.tables(gates::GateKind::kNand2);
-  nand[0].pin_current_grid[1] = Grid2D(4, 1);
-  pin_grid_shape.insert(gates::GateKind::kNand2, nand);
-  EXPECT_FALSE(compiles(pin_grid_shape));
 
   // A pin current missing.
   LeakageLibrary pins = raggedLibrary();
@@ -540,18 +442,119 @@ TEST(EstimationPlanTest, RejectsForeignWorkspace) {
 }
 
 TEST(EstimationPlanTest, NoLoadingModeSumsIsolatedNominals) {
-  const logic::LogicNetlist nl = logic::inverterChain(5);
+  // Every gate of a no-loading plan reads exactly its isolated nominal at
+  // IL = OL = +0 on the full, delta and block paths, and the total is
+  // their gate-order sum.
+  const logic::LogicNetlist nl = s838Like();
   EstimatorOptions options;
   options.with_loading = false;
   const EstimationPlan plan(nl, sharedLibrary(), options);
+  const logic::LogicSimulator simulator(nl);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto expectIsolated = [&](const std::vector<bool>& pattern,
+                                  const EstimateResult& result,
+                                  const std::string& context) {
+    std::vector<bool> values;
+    simulator.simulateInto(pattern, values);
+    ASSERT_EQ(result.per_gate.size(), nl.gateCount()) << context;
+    device::LeakageBreakdown total;
+    for (logic::GateId g = 0; g < nl.gateCount(); ++g) {
+      std::vector<bool> inputs;
+      for (logic::NetId net : nl.gate(g).inputs) {
+        inputs.push_back(values[net]);
+      }
+      const device::LeakageBreakdown& isolated =
+          sharedLibrary()
+              .table(nl.gate(g).kind, vectorIndex(inputs))
+              .isolated_nominal;
+      const GateEstimate& got = result.per_gate[g];
+      const std::string where = context + " gate " + std::to_string(g);
+      ASSERT_EQ(bits(got.leakage.subthreshold), bits(isolated.subthreshold))
+          << where;
+      ASSERT_EQ(bits(got.leakage.gate), bits(isolated.gate)) << where;
+      ASSERT_EQ(bits(got.leakage.btbt), bits(isolated.btbt)) << where;
+      ASSERT_EQ(bits(got.il), bits(0.0)) << where;
+      ASSERT_EQ(bits(got.ol), bits(0.0)) << where;
+      total += isolated;
+    }
+    EXPECT_EQ(bits(result.total.subthreshold), bits(total.subthreshold))
+        << context;
+    EXPECT_EQ(bits(result.total.gate), bits(total.gate)) << context;
+    EXPECT_EQ(bits(result.total.btbt), bits(total.btbt)) << context;
+  };
+
+  Rng rng(2005);
   EstimationWorkspace ws(plan);
-  const EstimateResult r = plan.estimate({false}, ws);
-  const VectorTable& t0 = sharedLibrary().table(gates::GateKind::kInv, 0);
-  const VectorTable& t1 = sharedLibrary().table(gates::GateKind::kInv, 1);
-  // Chain input 0: vectors alternate 0,1,0,1,0.
-  const double expected = 3 * t0.isolated_nominal.total() +
-                          2 * t1.isolated_nominal.total();
-  EXPECT_NEAR(r.total.total(), expected, 1e-12);
+  EstimateResult result;
+  std::vector<bool> pattern = logic::randomPattern(plan.sourceCount(), rng);
+  plan.estimate(pattern, ws, result);
+  expectIsolated(pattern, result, "full");
+  for (int step = 0; step < 16; ++step) {
+    const std::size_t bit =
+        static_cast<std::size_t>(rng.uniformInt(plan.sourceCount()));
+    pattern[bit] = !pattern[bit];
+    plan.estimateDelta(pattern, ws, result);
+    expectIsolated(pattern, result, "delta step " + std::to_string(step));
+  }
+  std::vector<std::vector<bool>> block;
+  for (std::size_t i = 0; i < kBlockPatterns; ++i) {
+    block.push_back(logic::randomPattern(plan.sourceCount(), rng));
+  }
+  std::vector<EstimateResult> blocked(block.size());
+  plan.estimateBlock(block, ws, blocked);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    expectIsolated(block[i], blocked[i], "block pattern " + std::to_string(i));
+  }
+}
+
+TEST(EstimationPlanTest, NoLoadingWalkTakesTheLoadingPlansPaths) {
+  // Whether a delta step runs incrementally or falls back to a full
+  // evaluation depends only on its dirty-gate count, so a no-loading plan
+  // walking the same patterns takes the same path at every step.
+  const logic::LogicNetlist nl = s838Like();
+  const EstimationPlan loading(nl, sharedLibrary());
+  EstimatorOptions off;
+  off.with_loading = false;
+  const EstimationPlan no_loading(nl, sharedLibrary(), off);
+  EstimationWorkspace loading_ws(loading);
+  EstimationWorkspace no_loading_ws(no_loading);
+  // The (incremental, fallback_full) counts one delta step adds.
+  const auto pathOf = [](const EstimationPlan& plan,
+                         const std::vector<bool>& pattern,
+                         EstimationWorkspace& ws) {
+    const std::uint64_t incremental =
+        obs::counterValue("estimate.incremental");
+    const std::uint64_t fallback = obs::counterValue("estimate.fallback_full");
+    plan.estimateDeltaTotal(pattern, ws);
+    return std::pair{obs::counterValue("estimate.incremental") - incremental,
+                     obs::counterValue("estimate.fallback_full") - fallback};
+  };
+
+  Rng rng(838);
+  std::vector<bool> pattern = logic::randomPattern(loading.sourceCount(), rng);
+  loading.estimate(pattern, loading_ws);
+  no_loading.estimate(pattern, no_loading_ws);
+  std::uint64_t incremental = 0;
+  std::uint64_t fallback = 0;
+  for (int step = 0; step < 48; ++step) {
+    if (step % 8 == 7) {
+      // A many-bit jump, so the walk reaches the fallback too.
+      for (std::size_t bit = 0; bit < pattern.size(); bit += 2) {
+        pattern[bit] = !pattern[bit];
+      }
+    } else {
+      const std::size_t bit =
+          static_cast<std::size_t>(rng.uniformInt(pattern.size()));
+      pattern[bit] = !pattern[bit];
+    }
+    const auto taken = pathOf(loading, pattern, loading_ws);
+    EXPECT_EQ(pathOf(no_loading, pattern, no_loading_ws), taken)
+        << "step " << step;
+    incremental += taken.first;
+    fallback += taken.second;
+  }
+  EXPECT_GT(incremental, 0u);
+  EXPECT_GT(fallback, 0u);
 }
 
 TEST(EstimationPlanTest, LoadingRaisesChainLeakage) {
@@ -597,17 +600,12 @@ TEST(EstimationPlanTest, FanoutRaisesOutputLoading) {
 
 TEST(EstimationPlanTest, IterativePropagationConverges) {
   const logic::LogicNetlist nl = logic::arrayMultiplier(4);
-  EstimatorOptions one;
-  one.propagation_iterations = 1;
-  EstimatorOptions three;
-  three.propagation_iterations = 3;
-  const EstimationPlan plan1(nl, sharedLibrary(), one);
-  const EstimationPlan plan3(nl, sharedLibrary(), three);
-  EstimationWorkspace ws1(plan1);
-  EstimationWorkspace ws3(plan3);
+  const EstimationPlan plan(nl, sharedLibrary());
+  EstimationWorkspace ws(plan);
   const std::vector<bool> vec(8, true);
-  const double l1 = plan1.estimate(vec, ws1).total.total();
-  const double l3 = plan3.estimate(vec, ws3).total.total();
+  const double l1 = plan.estimate(vec, ws).total.total();
+  const double l3 =
+      referenceEstimate(nl, sharedLibrary(), {}, vec, 3).total.total();
   // The paper: propagation beyond one level is negligible (< 1 % here).
   EXPECT_NEAR(l1, l3, 0.01 * l1);
   EXPECT_NE(l1, l3);  // but not bit-identical - it did something

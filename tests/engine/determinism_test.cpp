@@ -195,8 +195,7 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
   // random chunks through the block kernel and walk chunks through
   // incremental deltas - and still bit-identical to the single-pattern
   // estimate() at any thread count, chunk size and batch size, per gate
-  // and total-only, with and without loading, at one and three
-  // propagation levels.
+  // and total-only, with and without loading.
   core::CharacterizationOptions options;
   options.kinds = {gates::GateKind::kNand2, gates::GateKind::kInv};
   options.loading_grid = {0.0, 1.0e-6, 3.0e-6};
@@ -207,8 +206,6 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
 
   core::EstimatorOptions no_loading;
   no_loading.with_loading = false;
-  core::EstimatorOptions three_levels;
-  three_levels.propagation_iterations = 3;
 
   Rng rng(41);
   std::vector<std::vector<std::vector<bool>>> batches;
@@ -231,7 +228,7 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
   const std::size_t walk_index = batches.size() - 1;
 
   for (const core::EstimatorOptions& plan_options :
-       {core::EstimatorOptions{}, no_loading, three_levels}) {
+       {core::EstimatorOptions{}, no_loading}) {
     const core::EstimationPlan plan(netlist, library, plan_options);
     for (std::size_t b = 0; b < batches.size(); ++b) {
       const std::vector<std::vector<bool>>& patterns = batches[b];
@@ -245,8 +242,6 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
                                   BatchOptions{}.pattern_chunk}) {
           const std::string context =
               "loading=" + std::to_string(plan_options.with_loading) +
-              " levels=" +
-              std::to_string(plan_options.propagation_iterations) +
               " batch=" + std::to_string(b) +
               " threads=" + std::to_string(threads) +
               " chunk=" + std::to_string(chunk);

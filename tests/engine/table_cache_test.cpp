@@ -12,7 +12,6 @@ namespace {
 core::CharacterizationOptions quickOptions() {
   core::CharacterizationOptions options;
   options.loading_grid = {0.0, 1.0e-6};
-  options.store_pin_current_grids = false;
   return options;
 }
 

@@ -34,7 +34,6 @@ const core::LeakageLibrary& fuzzLib() {
                      GateKind::kOr3,   GateKind::kOr4,   GateKind::kXor2,
                      GateKind::kXnor2};
     options.loading_grid = {0.0, 1.0e-6, 3.0e-6, 6.0e-6};
-    options.store_pin_current_grids = false;
     return core::Characterizer(device::defaultTechnology(), options)
         .characterize();
   }();
