@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 
 #include "obs/metrics.h"
@@ -61,6 +62,54 @@ constexpr logic::GateId kTileGates = 4096;
 /// Pattern i's vector index from a gate's packed block indices.
 std::uint32_t blockVector(std::uint64_t vectors, std::size_t i) {
   return static_cast<std::uint32_t>((vectors >> (8 * i)) & 0xff);
+}
+
+/// The order-free sums of a breakdown's three components.
+using LeakageSum = util::OrderFreeSum<3>;
+
+/// A breakdown as the values LeakageSum adds, and back.
+std::array<double, 3> components(const device::LeakageBreakdown& leakage) {
+  return {leakage.subthreshold, leakage.gate, leakage.btbt};
+}
+device::LeakageBreakdown breakdown(const std::array<double, 3>& sum) {
+  return {sum[0], sum[1], sum[2]};
+}
+
+/// Leakage cells must be below this magnitude [A]: interpolated leakage
+/// then stays within the order-free sum's range (|v| <= 2).
+constexpr double kMaxLeakageCell = 1.0;
+
+/// Why an estimate with or without loading cannot read `table`, or null:
+/// a value the plan copies (the nominal pin currents, axis points and
+/// cells with loading, the isolated nominal without) that is not finite,
+/// or a leakage cell of kMaxLeakageCell or more in magnitude.
+const char* tableFault(const VectorTable& table, bool with_loading) {
+  const std::array<double, 3> isolated = components(table.isolated_nominal);
+  std::array<std::span<const double>, 3> cells = {isolated};
+  std::array<std::span<const double>, 3> others = {};
+  if (with_loading) {
+    cells = {table.subthreshold.values(), table.gate.values(),
+             table.btbt.values()};
+    others = {table.pin_current, table.il_axis.points(),
+              table.ol_axis.points()};
+  }
+  const auto all = [](std::span<const double> values, auto predicate) {
+    return std::all_of(values.begin(), values.end(), predicate);
+  };
+  const auto finite = [](double x) { return std::isfinite(x); };
+  for (const auto& group : {cells, others}) {
+    for (std::span<const double> values : group) {
+      if (!all(values, finite)) {
+        return "holds a non-finite value";
+      }
+    }
+  }
+  for (std::span<const double> values : cells) {
+    if (!all(values, [](double x) { return std::abs(x) < kMaxLeakageCell; })) {
+      return "holds a leakage cell of 1 A or more";
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -129,6 +178,10 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
       const VectorTable& inv = library_.table(gates::GateKind::kInv, level);
       require(inv.pin_current.size() == 1,
               "EstimationPlan: INV table needs one pin current");
+      if (!std::isfinite(inv.pin_current[0])) {
+        throwError("EstimationPlan: INV vector " + std::to_string(level) +
+                   " holds a non-finite value");
+      }
       dff_pin_current_[level] =
           options_.with_loading ? inv.pin_current[0] : 0.0;
     }
@@ -207,7 +260,9 @@ std::uint32_t EstimationPlan::appendKindTables(gates::GateKind kind,
                gates::toString(kind));
   }
   const auto first = static_cast<std::uint32_t>(blocks_.size());
-  for (const VectorTable& table : tables) {
+  const bool loaded = options_.with_loading;
+  for (std::size_t vector = 0; vector < tables.size(); ++vector) {
+    const VectorTable& table = tables[vector];
     const std::size_t rows = table.il_axis.size();
     const std::size_t cols = table.ol_axis.size();
     const auto shaped = [&](const Grid2D& grid) {
@@ -218,6 +273,10 @@ std::uint32_t EstimationPlan::appendKindTables(gates::GateKind kind,
       throwError(std::string("EstimationPlan: malformed table for ") +
                  gates::toString(kind));
     }
+    if (const char* fault = tableFault(table, loaded)) {
+      throwError(std::string("EstimationPlan: ") + gates::toString(kind) +
+                 " vector " + std::to_string(vector) + " " + fault);
+    }
     require(rows <= std::numeric_limits<std::uint16_t>::max() &&
                 cols <= std::numeric_limits<std::uint16_t>::max(),
             "EstimationPlan: loading axis too long");
@@ -226,7 +285,6 @@ std::uint32_t EstimationPlan::appendKindTables(gates::GateKind kind,
     // sees IL = OL = +0, and the lookup returns the isolated value bit for
     // bit (a one-point axis locates to {0, 0}, and Bilinear returns its
     // one cell unchanged).
-    const bool loaded = options_.with_loading;
     const TableBlock block{static_cast<std::uint32_t>(arena_.size()),
                            static_cast<std::uint16_t>(loaded ? rows : 1),
                            static_cast<std::uint16_t>(loaded ? cols : 1),
@@ -347,20 +405,17 @@ void EstimationPlan::computeAllFromValues(EstimationWorkspace& ws) const {
   for (NetId net = 0; net < net_count_; ++net) {
     ws.net_injection_[net] = netInjection(ws, net);
   }
-  device::LeakageBreakdown total;
   for (GateId g = 0; g < gate_count_; ++g) {
     refreshGateEstimate(ws, g);
-    total += ws.per_gate_[g].leakage;
   }
-  ws.total_ = total;
-}
-
-void EstimationPlan::resumTotal(EstimationWorkspace& ws) const {
-  device::LeakageBreakdown total;
-  for (GateId g = 0; g < gate_count_; ++g) {
-    total += ws.per_gate_[g].leakage;
+  // Summed in a pass of its own into a local: in the loop above, the sum's
+  // bins would go through memory around every call.
+  LeakageSum sum;
+  for (const GateEstimate& estimate : ws.per_gate_) {
+    sum.add(components(estimate.leakage));
   }
-  ws.total_ = total;
+  ws.total_sum_ = sum;
+  ws.total_ = breakdown(sum.values());
 }
 
 void EstimationPlan::finishResult(const EstimationWorkspace& ws,
@@ -488,9 +543,14 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
       markGate(net_driver_gate_[net]);
     }
   }
+  // The total's sum trades each touched gate's old leakage for its new
+  // one; it is order-free, so it ends where a full evaluation's would.
   for (GateId g : ws.touched_gates_) {
+    ws.total_sum_.remove(components(ws.per_gate_[g].leakage));
     refreshGateEstimate(ws, g);
+    ws.total_sum_.add(components(ws.per_gate_[g].leakage));
   }
+  ws.total_ = breakdown(ws.total_sum_.values());
 
   for (NetId net : ws.dirty_nets_) {
     ws.net_mark_[net] = 0;
@@ -498,7 +558,6 @@ void EstimationPlan::evaluateDelta(const std::vector<bool>& source_values,
   for (GateId g : ws.touched_gates_) {
     ws.gate_mark_[g] = 0;
   }
-  resumTotal(ws);
 }
 
 void EstimationPlan::estimateBlock(std::span<const std::vector<bool>> patterns,
@@ -546,15 +605,17 @@ void EstimationPlan::evaluateBlock(std::span<const std::vector<bool>> patterns,
     }
   }
 
-  // Second pass: each gate's IL/OL and leakage for every pattern, the
-  // totals summed in gate order as computeAllFromValues() sums them. It
-  // runs in tiles of gates, and each result grows by one tile just before
-  // the pass writes it: a result's fresh memory is then initialized while
-  // in cache and first touched in address order. (Sizing the results up
-  // front streams them through memory twice; appending gate by gate
-  // touches the pages of eight results interleaved, which left later,
-  // unrelated work measurably slower.)
-  std::array<device::LeakageBreakdown, kBlockPatterns> total{};
+  // Second pass: each gate's IL/OL and leakage for every pattern, and the
+  // totals' order-free sums, one lane per (component, pattern) so that
+  // every gate's adds are one vectorized loop; a tile is one fold
+  // interval. The pass runs in tiles of gates, and each result grows by
+  // one tile just before the pass writes it: a result's fresh memory is
+  // then initialized while in cache and first touched in address order.
+  // (Sizing the results up front streams them through memory twice;
+  // appending gate by gate touches the pages of eight results interleaved,
+  // which left later, unrelated work measurably slower.)
+  static_assert(kTileGates == util::OrderFreeSum<1>::kFoldInterval);
+  util::OrderFreeSum<3 * kBlockPatterns> total;
   const double* arena = arena_.data();
   const double* injection = scratch.injection.data();
   for (GateId tile = 0; tile < gate_count_; tile += kTileGates) {
@@ -592,19 +653,29 @@ void EstimationPlan::evaluateBlock(std::span<const std::vector<bool>> patterns,
         estimate[i].ol = std::abs(output[i]);
         lookupLeakage(*block[i], estimate[i]);
       }
-      for (std::size_t i = 0; i < count; ++i) {
-        total[i] += estimate[i].leakage;
-        if (out != nullptr) {
+      // Lanes past `count` add the zero leakage they were made with.
+      std::array<double, 3 * kBlockPatterns> leakage;
+      for (std::size_t i = 0; i < kBlockPatterns; ++i) {
+        leakage[i] = estimate[i].leakage.subthreshold;
+        leakage[kBlockPatterns + i] = estimate[i].leakage.gate;
+        leakage[2 * kBlockPatterns + i] = estimate[i].leakage.btbt;
+      }
+      total.add(leakage);
+      if (out != nullptr) {
+        for (std::size_t i = 0; i < count; ++i) {
           per_gate[i][g] = estimate[i];
         }
       }
     }
   }
   for (std::size_t i = 0; i < count; ++i) {
+    const device::LeakageBreakdown sum{total.value(i),
+                                       total.value(kBlockPatterns + i),
+                                       total.value(2 * kBlockPatterns + i)};
     if (out != nullptr) {
-      out[i].total = total[i];
+      out[i].total = sum;
     } else {
-      totals[i] = total[i];
+      totals[i] = sum;
     }
   }
 }
@@ -691,16 +762,24 @@ EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
     for (NetId net : netlist.gate(g).inputs) {
       inputs.push_back(values[net]);
     }
-    table[g] = &library.table(netlist.gate(g).kind, vectorIndex(inputs));
+    const std::size_t vector = vectorIndex(inputs);
+    table[g] = &library.table(netlist.gate(g).kind, vector);
+    if (const char* fault = tableFault(*table[g], options.with_loading)) {
+      throwError(std::string("referenceEstimate: ") +
+                 gates::toString(netlist.gate(g).kind) + " vector " +
+                 std::to_string(vector) + " " + fault);
+    }
   }
 
   EstimateResult result;
   result.per_gate.resize(gate_count);
+  LeakageSum total;
   if (!options.with_loading) {
     for (GateId g = 0; g < gate_count; ++g) {
       result.per_gate[g].leakage = table[g]->isolated_nominal;
-      result.total += result.per_gate[g].leakage;
+      total.add(components(result.per_gate[g].leakage));
     }
+    result.total = breakdown(total.values());
     return result;
   }
 
@@ -747,8 +826,9 @@ EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
   for (GateId g = 0; g < gate_count; ++g) {
     GateEstimate& estimate = result.per_gate[g];
     estimate.leakage = table[g]->lookup(estimate.il, estimate.ol);
-    result.total += estimate.leakage;
+    total.add(components(estimate.leakage));
   }
+  result.total = breakdown(total.values());
   return result;
 }
 

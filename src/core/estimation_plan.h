@@ -34,7 +34,11 @@
 /// referenceEstimate(), which evaluates it directly over
 /// VectorTable::lookup: the arena lookup runs the same locateOnAxis and
 /// Bilinear arithmetic on copies of the same values, and plan compilation
-/// only moves work, it never reorders a floating-point operation.
+/// only moves work, it never reorders a per-gate floating-point operation.
+/// Totals over gates are order-free (util::OrderFreeSum): each is the
+/// correctly rounded exact sum of the per-gate components, whatever order
+/// or grouping a path adds them in, so a delta step only replaces the
+/// gates it touched.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +51,7 @@
 #include "device/leakage_breakdown.h"
 #include "logic/logic_netlist.h"
 #include "logic/logic_sim.h"
+#include "util/order_free_sum.h"
 
 namespace nanoleak::core {
 
@@ -69,7 +74,8 @@ struct GateEstimate {
 
 /// Whole-circuit estimate.
 struct EstimateResult {
-  /// Sum over all logic gates.
+  /// Sum over all logic gates, per component the correctly rounded exact
+  /// sum of the per-gate values (util::OrderFreeSum).
   device::LeakageBreakdown total;
   /// Per-gate details, indexed by GateId.
   std::vector<GateEstimate> per_gate;
@@ -107,8 +113,11 @@ class EstimationPlan {
  public:
   /// Compiles the plan. Requires the library to cover every gate kind in
   /// the netlist (INV additionally when the netlist has DFFs, for the
-  /// boundary model), and every table to carry one pin current per gate
-  /// pin and grids shaped like its axes. Throws nanoleak::Error otherwise.
+  /// boundary model), every table to carry one pin current per gate pin
+  /// and grids shaped like its axes, every value the plan copies (axis
+  /// points, pin currents, cells) to be finite, and every leakage cell to
+  /// be below 1 A in magnitude. Throws nanoleak::Error otherwise, naming
+  /// the kind and the vector.
   EstimationPlan(const logic::LogicNetlist& netlist,
                  const LeakageLibrary& library,
                  EstimatorOptions options = {});
@@ -138,9 +147,13 @@ class EstimationPlan {
   /// Incremental evaluation: reuses the state `ws` holds from its previous
   /// estimate()/estimateDelta() on this plan, re-simulating only the
   /// fanout cone of the flipped source bits and re-estimating only dirty
-  /// gates and their net neighbourhoods. Falls back to full evaluation on
-  /// a cold workspace or when the dirty gates are a large fraction of the
-  /// circuit. Results are bit-identical to estimate() in every case.
+  /// gates and their net neighbourhoods; the total's order-free sum drops
+  /// each re-estimated gate's old leakage and adds its new one, so the
+  /// evaluation costs O(touched gates), not O(gates). Falls back to full
+  /// evaluation on a cold workspace or when the dirty gates are a large
+  /// fraction of the circuit. Results are bit-identical to estimate() in
+  /// every case; with a result, copying the per-gate results out costs
+  /// O(gates).
   void estimateDelta(const std::vector<bool>& source_values,
                      EstimationWorkspace& ws, EstimateResult& out) const;
   /// estimateDelta() for callers that read only the whole-circuit total:
@@ -207,8 +220,6 @@ class EstimationPlan {
   double netInjection(const EstimationWorkspace& ws, logic::NetId net) const;
   /// Everything after logic simulation, for all gates.
   void computeAllFromValues(EstimationWorkspace& ws) const;
-  /// Re-sums the whole-circuit total from per-gate leakages (gate order).
-  void resumTotal(EstimationWorkspace& ws) const;
   void finishResult(const EstimationWorkspace& ws, EstimateResult& out) const;
 
   const logic::LogicNetlist& netlist_;
@@ -302,6 +313,9 @@ class EstimationWorkspace {
   std::vector<double> pin_current_;
   std::vector<double> net_injection_;
   std::vector<GateEstimate> per_gate_;
+  // The order-free sum of every gate's (sub, gate, btbt) in per_gate_, and
+  // the total it reads.
+  util::OrderFreeSum<3> total_sum_;
   device::LeakageBreakdown total_;
 
   // Block-path scratch (estimateBlock), made on first use: per net its
@@ -329,13 +343,15 @@ class EstimationWorkspace {
 /// injection the sum of its fanout pins' currents in netlist.fanout()
 /// order plus an INV input current per DFF D pin, the IL-IN rule (each
 /// pin sees its net minus its own current; primary-input nets are ideal),
-/// VectorTable::lookup at the resulting (IL, OL), and the total summed in
-/// gate order. `levels` is the propagation depth: level 1 (the paper's,
-/// and the plan's) uses the nominal pin currents; each further level
-/// re-derives every pin current with VectorTable::pinCurrentAt at the
-/// (IL, OL) of the level before. Without loading every gate reads its
-/// isolated nominal at IL = OL = 0, whatever `levels`. Throws
-/// nanoleak::Error on levels < 1, a wrong source count or a missing table.
+/// VectorTable::lookup at the resulting (IL, OL), and the total the
+/// order-free sum of the per-gate components, as every plan path sums it.
+/// `levels` is the propagation depth: level 1 (the paper's, and the
+/// plan's) uses the nominal pin currents; each further level re-derives
+/// every pin current with VectorTable::pinCurrentAt at the (IL, OL) of the
+/// level before. Without loading every gate reads its isolated nominal at
+/// IL = OL = 0, whatever `levels`. Throws nanoleak::Error on levels < 1, a
+/// wrong source count, a missing table, or a table the plan would reject
+/// for a non-finite value or a leakage cell of 1 A or more.
 EstimateResult referenceEstimate(const logic::LogicNetlist& netlist,
                                  const LeakageLibrary& library,
                                  const EstimatorOptions& options,

@@ -158,9 +158,15 @@ BoundTracker::BoundTracker(const core::EstimationPlan& plan,
         nv >= 32 ? 0xffffffffu : ((1u << nv) - 1u);
     cur_min_[g] = bounds_.maskMin(g, all);
     cur_max_[g] = bounds_.maskMax(g, all);
-    sum_min_ += cur_min_[g];
-    sum_max_ += cur_max_[g];
+    sums_.add({kScale * cur_min_[g], kScale * cur_max_[g]});
   }
+}
+
+void BoundTracker::setInterval(GateId g, double lo, double hi) {
+  sums_.remove({kScale * cur_min_[g], kScale * cur_max_[g]});
+  sums_.add({kScale * lo, kScale * hi});
+  cur_min_[g] = lo;
+  cur_max_[g] = hi;
 }
 
 void BoundTracker::push(std::span<const NetId> implied) {
@@ -175,12 +181,8 @@ void BoundTracker::push(std::span<const NetId> implied) {
       stamp_[g] = push_id_;
       trail_.push_back(Saved{g, cur_min_[g], cur_max_[g]});
       const std::uint32_t possible = propagator_.possibleVectors(g);
-      const double lo = bounds_.maskMin(g, possible);
-      const double hi = bounds_.maskMax(g, possible);
-      sum_min_ += lo - cur_min_[g];
-      sum_max_ += hi - cur_max_[g];
-      cur_min_[g] = lo;
-      cur_max_[g] = hi;
+      setInterval(g, bounds_.maskMin(g, possible),
+                  bounds_.maskMax(g, possible));
     }
   }
 }
@@ -191,28 +193,9 @@ void BoundTracker::pop() {
   level_start_.pop_back();
   while (trail_.size() > start) {
     const Saved& s = trail_.back();
-    sum_min_ += s.min - cur_min_[s.gate];
-    sum_max_ += s.max - cur_max_[s.gate];
-    cur_min_[s.gate] = s.min;
-    cur_max_[s.gate] = s.max;
+    setInterval(s.gate, s.min, s.max);
     trail_.pop_back();
   }
-}
-
-double BoundTracker::exactMin() const {
-  double sum = 0.0;
-  for (double v : cur_min_) {
-    sum += v;
-  }
-  return sum;
-}
-
-double BoundTracker::exactMax() const {
-  double sum = 0.0;
-  for (double v : cur_max_) {
-    sum += v;
-  }
-  return sum;
 }
 
 }  // namespace nanoleak::search

@@ -19,15 +19,16 @@
 ///
 /// Both cases are widened by a relative slack (kRelativeSlack) that
 /// dominates every floating-point effect the bound must absorb:
-/// interpolation rounding, incremental bound-sum drift, and the
-/// reassociation difference between the estimator's component-wise total
-/// and the per-gate sum used here. Pruning against these intervals is
-/// therefore conservative: a subtree is only cut when even its optimistic
-/// bound cannot beat the incumbent.
+/// interpolation rounding, and the reassociation difference between the
+/// estimator's total (each component summed over gates, then the three
+/// added) and the sum of per-gate totals used here. Pruning against these
+/// intervals is therefore conservative: a subtree is only cut when even
+/// its optimistic bound cannot beat the incumbent.
 ///
 /// BoundTracker maintains, on a trail parallel to TernaryPropagator's,
-/// the running circuit-wide sums of per-gate interval endpoints as source
-/// assignments narrow each gate's possible-vector set.
+/// the circuit-wide sums of per-gate interval endpoints as source
+/// assignments narrow each gate's possible-vector set. The sums are
+/// order-free (util::OrderFreeSum), so they never drift.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +37,7 @@
 
 #include "core/estimation_plan.h"
 #include "search/ternary.h"
+#include "util/order_free_sum.h"
 
 namespace nanoleak::search {
 
@@ -43,9 +45,9 @@ namespace nanoleak::search {
 class LeakageBounds {
  public:
   /// Relative widening applied to every interval endpoint; orders of
-  /// magnitude above accumulated rounding (~1e-13 for 1e3-gate sums), and
-  /// orders of magnitude below any physical leakage difference, so it
-  /// never masks a real optimum.
+  /// magnitude above the interpolation and reassociation rounding it
+  /// covers (~1e-13 for 1e3-gate sums), and orders of magnitude below any
+  /// physical leakage difference, so it never masks a real optimum.
   static constexpr double kRelativeSlack = 1e-9;
 
   /// Precomputes intervals from the plan's resolved tables. The plan must
@@ -75,10 +77,11 @@ class LeakageBounds {
 ///
 /// Drive it in lockstep with a TernaryPropagator: after every
 /// propagator.assign() call push() with the newly implied nets, and pair
-/// every propagator.backtrack() with pop(). runningMin()/runningMax() are
-/// maintained by cheap updates; exactMin()/exactMax() re-sum the per-gate
-/// contributions in fixed gate order and are what pruning decisions must
-/// consult (they carry none of the running sums' incremental drift).
+/// every propagator.backtrack() with pop(). Each update removes a gate's
+/// old interval endpoints from order-free sums and adds its new ones, so
+/// the sums depend only on the current per-gate intervals: pop() restores
+/// the previous sums bit for bit, and runningMin()/runningMax() equal
+/// exactMin()/exactMax().
 class BoundTracker {
  public:
   /// Binds to a propagator/bounds pair (both must outlive the tracker)
@@ -94,24 +97,32 @@ class BoundTracker {
   void pop();
 
   /// Running lower bound on the circuit total over all completions.
-  double runningMin() const { return sum_min_; }
+  double runningMin() const { return exactMin(); }
   /// Running upper bound on the circuit total over all completions.
-  double runningMax() const { return sum_max_; }
-  /// Drift-free lower bound: per-gate contributions re-summed in gate
-  /// order. Use for actual prune decisions.
-  double exactMin() const;
-  /// Drift-free upper bound (see exactMin()).
-  double exactMax() const;
+  double runningMax() const { return exactMax(); }
+  /// Lower bound on the circuit total: the correctly rounded exact sum of
+  /// the per-gate lower endpoints.
+  double exactMin() const { return kUnscale * sums_.value(0); }
+  /// Upper bound on the circuit total (see exactMin()).
+  double exactMax() const { return kUnscale * sums_.value(1); }
 
  private:
   const logic::LogicNetlist& netlist_;
   const TernaryPropagator& propagator_;
   const LeakageBounds& bounds_;
 
+  /// Moves gate g's interval endpoints to [lo, hi] in the sums.
+  void setInterval(logic::GateId g, double lo, double hi);
+
+  // An endpoint reaches three components of under 1 A each (what plan
+  // compilation admits), past the sums' range of 2: they hold a quarter of
+  // each, a power-of-two scaling that is exact both ways.
+  static constexpr double kScale = 0.25;
+  static constexpr double kUnscale = 4.0;
+
   std::vector<double> cur_min_;  // per gate, current interval
   std::vector<double> cur_max_;
-  double sum_min_ = 0.0;
-  double sum_max_ = 0.0;
+  util::OrderFreeSum<2> sums_;  // lane 0: kScale * cur_min_, 1: cur_max_
 
   // Undo trail: (gate, previous interval) entries per level; stamp_
   // dedupes gates touched more than once within one push.

@@ -102,8 +102,9 @@ class BranchAndBound {
     if (!has_best_) {
       return false;
     }
-    // Cheap running-sum screen first; only candidates pay for the
-    // drift-free re-sum that the actual decision uses.
+    // Running-sum screen first; only candidates count as prune checks.
+    // (The running and exact sums are one order-free sum, so every
+    // candidate is pruned.)
     const bool candidate = objective_ == Objective::kMin
                                ? tracker_.runningMin() >= best_total_
                                : tracker_.runningMax() <= best_total_;

@@ -17,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "logic/logic_sim.h"
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/order_free_sum.h"
 #include "util/rng.h"
 
 namespace nanoleak::core {
@@ -412,6 +414,65 @@ TEST(EstimationPlanTest, RejectsMalformedTables) {
   nand[3].pin_current.pop_back();
   pins.insert(gates::GateKind::kNand2, nand);
   EXPECT_FALSE(compiles(pins));
+
+  // Values outside the model's domain: the error names the kind and the
+  // vector, with or without loading for the cells the plan copies.
+  const auto rejection = [&](const LeakageLibrary& library,
+                             const EstimatorOptions& options) {
+    try {
+      const EstimationPlan plan(nl, library, options);
+    } catch (const Error& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+  const EstimatorOptions loading;
+  EstimatorOptions no_loading;
+  no_loading.with_loading = false;
+  LeakageLibrary nan_cell = raggedLibrary();
+  nand = nan_cell.tables(gates::GateKind::kNand2);
+  nand[1].subthreshold.at(2, 3) = std::nan("");
+  nan_cell.insert(gates::GateKind::kNand2, nand);
+  EXPECT_EQ(rejection(nan_cell, loading),
+            "EstimationPlan: NAND2 vector 1 holds a non-finite value");
+  EXPECT_EQ(rejection(nan_cell, no_loading), "");
+
+  LeakageLibrary inf_pin = raggedLibrary();
+  std::vector<VectorTable> inv = inf_pin.tables(gates::GateKind::kInv);
+  inv[0].pin_current[0] = std::numeric_limits<double>::infinity();
+  inf_pin.insert(gates::GateKind::kInv, inv);
+  EXPECT_EQ(rejection(inf_pin, loading),
+            "EstimationPlan: INV vector 0 holds a non-finite value");
+
+  LeakageLibrary big_cell = raggedLibrary();
+  nand = big_cell.tables(gates::GateKind::kNand2);
+  nand[3].btbt.at(1, 0) = 2.0;
+  nand[2].isolated_nominal.gate = 2.0;
+  big_cell.insert(gates::GateKind::kNand2, nand);
+  EXPECT_EQ(rejection(big_cell, loading),
+            "EstimationPlan: NAND2 vector 3 holds a leakage cell of 1 A or "
+            "more");
+  EXPECT_EQ(rejection(big_cell, no_loading),
+            "EstimationPlan: NAND2 vector 2 holds a leakage cell of 1 A or "
+            "more");
+  // The reference evaluator rejects what the plan rejects.
+  LeakageLibrary all_big = raggedLibrary();
+  nand = all_big.tables(gates::GateKind::kNand2);
+  for (VectorTable& table : nand) {
+    table.isolated_nominal.gate = 2.0;
+  }
+  all_big.insert(gates::GateKind::kNand2, nand);
+  const std::vector<bool> ones(
+      EstimationPlan(nl, raggedLibrary()).sourceCount(), true);
+  try {
+    referenceEstimate(nl, all_big, no_loading, ones);
+    FAIL() << "expected nanoleak::Error";
+  } catch (const Error& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("referenceEstimate: NAND2 vector ",
+                                              0),
+              0u)
+        << error.what();
+  }
 }
 
 TEST(EstimationPlanTest, RejectsWrongSourceCount) {
@@ -444,7 +505,7 @@ TEST(EstimationPlanTest, RejectsForeignWorkspace) {
 TEST(EstimationPlanTest, NoLoadingModeSumsIsolatedNominals) {
   // Every gate of a no-loading plan reads exactly its isolated nominal at
   // IL = OL = +0 on the full, delta and block paths, and the total is
-  // their gate-order sum.
+  // their order-free sum, here added in reverse gate order.
   const logic::LogicNetlist nl = s838Like();
   EstimatorOptions options;
   options.with_loading = false;
@@ -457,8 +518,8 @@ TEST(EstimationPlanTest, NoLoadingModeSumsIsolatedNominals) {
     std::vector<bool> values;
     simulator.simulateInto(pattern, values);
     ASSERT_EQ(result.per_gate.size(), nl.gateCount()) << context;
-    device::LeakageBreakdown total;
-    for (logic::GateId g = 0; g < nl.gateCount(); ++g) {
+    util::OrderFreeSum<3> sum;
+    for (logic::GateId g = nl.gateCount(); g-- > 0;) {
       std::vector<bool> inputs;
       for (logic::NetId net : nl.gate(g).inputs) {
         inputs.push_back(values[net]);
@@ -475,12 +536,12 @@ TEST(EstimationPlanTest, NoLoadingModeSumsIsolatedNominals) {
       ASSERT_EQ(bits(got.leakage.btbt), bits(isolated.btbt)) << where;
       ASSERT_EQ(bits(got.il), bits(0.0)) << where;
       ASSERT_EQ(bits(got.ol), bits(0.0)) << where;
-      total += isolated;
+      sum.add({isolated.subthreshold, isolated.gate, isolated.btbt});
     }
-    EXPECT_EQ(bits(result.total.subthreshold), bits(total.subthreshold))
+    EXPECT_EQ(bits(result.total.subthreshold), bits(sum.value(0)))
         << context;
-    EXPECT_EQ(bits(result.total.gate), bits(total.gate)) << context;
-    EXPECT_EQ(bits(result.total.btbt), bits(total.btbt)) << context;
+    EXPECT_EQ(bits(result.total.gate), bits(sum.value(1))) << context;
+    EXPECT_EQ(bits(result.total.btbt), bits(sum.value(2))) << context;
   };
 
   Rng rng(2005);
@@ -633,16 +694,70 @@ TEST(EstimationPlanTest, DffBoundariesContributeLoading) {
 }
 
 TEST(EstimationPlanTest, PerGateEstimatesSumToTotal) {
+  // The total is the order-free sum of the per-gate leakages: summing them
+  // in a shuffled order gives it bit for bit.
   const logic::LogicNetlist nl = logic::alu8();
   const EstimationPlan plan(nl, sharedLibrary());
   EstimationWorkspace ws(plan);
   Rng rng(11);
   const EstimateResult r = plan.estimate(logic::randomPattern(19, rng), ws);
-  device::LeakageBreakdown sum;
-  for (const GateEstimate& g : r.per_gate) {
-    sum += g.leakage;
+  std::vector<GateEstimate> shuffled = r.per_gate;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.uniformInt(i)]);
   }
-  EXPECT_NEAR(sum.total(), r.total.total(), 1e-12);
+  util::OrderFreeSum<3> sum;
+  for (const GateEstimate& g : shuffled) {
+    sum.add({g.leakage.subthreshold, g.leakage.gate, g.leakage.btbt});
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(sum.value(0)), bits(r.total.subthreshold));
+  EXPECT_EQ(bits(sum.value(1)), bits(r.total.gate));
+  EXPECT_EQ(bits(sum.value(2)), bits(r.total.btbt));
+}
+
+TEST(EstimationPlanTest, LongWalkKeepsTheTotalExact) {
+  // 20,000 delta steps on an s1423-shaped synthetic mixing 1-bit flips,
+  // repeats and half-the-bits jumps, so the workspace's running sum passes
+  // through the incremental, unchanged and fallback paths many times; every
+  // 250 steps it must equal a full estimate bit for bit.
+  const logic::LogicNetlist nl =
+      logic::synthesizeIscasLike(logic::iscasSpec("s1423"), 1423);
+  const EstimationPlan plan(nl, sharedLibrary());
+  EstimationWorkspace walk(plan);
+  EstimationWorkspace full(plan);
+  const std::uint64_t unchanged = obs::counterValue("estimate.unchanged");
+  const std::uint64_t fallback = obs::counterValue("estimate.fallback_full");
+  Rng rng(20000);
+  std::vector<bool> pattern = logic::randomPattern(plan.sourceCount(), rng);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (int step = 1; step <= 20000; ++step) {
+    const double move = rng.uniform();
+    if (move < 0.05) {
+      for (std::size_t bit = 0; bit < pattern.size(); ++bit) {
+        if (rng.bernoulli(0.5)) {
+          pattern[bit] = !pattern[bit];
+        }
+      }
+    } else if (move < 0.15) {
+      // A repeat: the pattern stays as it is.
+    } else {
+      const std::size_t bit =
+          static_cast<std::size_t>(rng.uniformInt(pattern.size()));
+      pattern[bit] = !pattern[bit];
+    }
+    const device::LeakageBreakdown total =
+        plan.estimateDeltaTotal(pattern, walk);
+    if (step % 250 == 0) {
+      const device::LeakageBreakdown expected =
+          plan.estimate(pattern, full).total;
+      ASSERT_EQ(bits(total.subthreshold), bits(expected.subthreshold))
+          << "step " << step;
+      ASSERT_EQ(bits(total.gate), bits(expected.gate)) << "step " << step;
+      ASSERT_EQ(bits(total.btbt), bits(expected.btbt)) << "step " << step;
+    }
+  }
+  EXPECT_GT(obs::counterValue("estimate.unchanged"), unchanged);
+  EXPECT_GT(obs::counterValue("estimate.fallback_full"), fallback);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -179,11 +180,13 @@ TEST_P(BoundsTest, TrackerTightensMonotonicallyAndPopsExactly) {
     // Narrowing possible-vector sets can only tighten the interval.
     EXPECT_GE(tracker.exactMin(), mins.back()) << "level " << s + 1;
     EXPECT_LE(tracker.exactMax(), maxs.back()) << "level " << s + 1;
-    // The incremental running sums track the drift-free re-sum closely.
-    EXPECT_NEAR(tracker.runningMin(), tracker.exactMin(),
-                1e-9 * (1.0 + std::abs(tracker.exactMin())));
-    EXPECT_NEAR(tracker.runningMax(), tracker.exactMax(),
-                1e-9 * (1.0 + std::abs(tracker.exactMax())));
+    // The incremental sums are order-free: no drift at any level.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tracker.runningMin()),
+              std::bit_cast<std::uint64_t>(tracker.exactMin()))
+        << "level " << s + 1;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tracker.runningMax()),
+              std::bit_cast<std::uint64_t>(tracker.exactMax()))
+        << "level " << s + 1;
     mins.push_back(tracker.exactMin());
     maxs.push_back(tracker.exactMax());
   }
@@ -193,13 +196,19 @@ TEST_P(BoundsTest, TrackerTightensMonotonicallyAndPopsExactly) {
   EXPECT_LE(tracker.exactMin(), total);
   EXPECT_GE(tracker.exactMax(), total);
   // Popping levels restores each recorded interval bit-for-bit (the
-  // per-gate endpoints are restored from the trail, and exactMin/exactMax
-  // re-sum them in fixed order).
+  // per-gate endpoints are restored from the trail, and the order-free
+  // sums depend only on them).
   for (std::size_t s = plan.sourceCount(); s > 0; --s) {
     tracker.pop();
     prop.backtrack();
     EXPECT_EQ(tracker.exactMin(), mins[s - 1]) << "pop to level " << s - 1;
     EXPECT_EQ(tracker.exactMax(), maxs[s - 1]) << "pop to level " << s - 1;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tracker.runningMin()),
+              std::bit_cast<std::uint64_t>(tracker.exactMin()))
+        << "pop to level " << s - 1;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tracker.runningMax()),
+              std::bit_cast<std::uint64_t>(tracker.exactMax()))
+        << "pop to level " << s - 1;
   }
 }
 

@@ -2,12 +2,12 @@
 """Approximate the CI Doxygen gate without Doxygen installed.
 
 Walks the documented API headers (src/core, src/engine, src/thermal,
-src/obs, src/search, plus the individually listed lane-solver headers) and
-reports public declarations that are not immediately preceded by a `///`
-doc comment. This is a lightweight lexical check - the authoritative gate
-is `doxygen Doxyfile` in CI (WARN_AS_ERROR = FAIL_ON_WARNINGS) - but it
-catches the common case (a new public member without a doc comment)
-before a push.
+src/obs, src/search, plus the individually listed util and circuit
+headers) and reports public declarations that are not immediately
+preceded by a `///` doc comment. This is a lightweight lexical check -
+the authoritative gate is `doxygen Doxyfile` in CI (WARN_AS_ERROR =
+FAIL_ON_WARNINGS) - but it catches the common case (a new public member
+without a doc comment) before a push.
 
 Usage: tools/check_doc_coverage.py [header-dir-or-file ...]
 Exit codes: 0 all declarations documented, 1 findings, 2 usage error.
@@ -23,10 +23,12 @@ DEFAULT_DIRS = [
     "src/thermal",
     "src/obs",
     "src/search",
-    # The SIMD lane-solver API (SolverKernel::solveLanes and its lanes),
-    # documented file by file (their home directories are otherwise
-    # internal). Keep in sync with Doxyfile INPUT.
+    # The SIMD lane-solver API (SolverKernel::solveLanes and its lanes)
+    # and the order-free sum behind every estimator total, documented file
+    # by file (their home directories are otherwise internal). Keep in
+    # sync with Doxyfile INPUT.
     "src/util/simd.h",
+    "src/util/order_free_sum.h",
     "src/circuit/solver_kernel.h",
 ]
 
