@@ -1,7 +1,10 @@
 // Sleep-vector search bench: exhaustive enumeration vs branch-and-bound
 // vs the heuristic engine on the small-circuit roster, reporting wall
 // clock, pruning effectiveness (leaf evaluations vs 2^n) and bound
-// quality (the root interval vs the true leakage range).
+// quality (the root interval vs the true leakage range). Past the exact
+// frontier it times the heuristic alone on s838 and s13207 (budget 64,
+// min and max): its set-up (the bounds and the sources' static impacts),
+// the whole search and the best total, reported without a gate.
 //
 // Doubles as a correctness gate: EXITS NON-ZERO when
 //  - exact branch-and-bound disagrees with exhaustive enumeration on any
@@ -27,6 +30,8 @@
 #include "bench_util.h"
 #include "core/characterizer.h"
 #include "logic/generators.h"
+#include "scenario/scenario.h"
+#include "search/bounds.h"
 #include "search/optimizer.h"
 #include "util/table_writer.h"
 
@@ -38,21 +43,15 @@ using namespace nanoleak;
 
 using Clock = std::chrono::steady_clock;
 
+/// Evaluation budget of the heuristic rows past the exact frontier.
+constexpr std::size_t kHeuristicBudget = 64;
+
 template <typename Fn>
 double timedSeconds(Fn&& fn) {
   const auto t0 = Clock::now();
   fn();
   const auto t1 = Clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-logic::LogicNetlist buildByName(const std::string& name) {
-  if (name == "c17") return logic::c17();
-  if (name == "mult22") return logic::arrayMultiplier(2);
-  if (name == "rca4") return logic::rippleCarryAdder(4);
-  if (name == "rca8") return logic::rippleCarryAdder(8);
-  if (name == "fanout_star6") return logic::fanoutStar(6);
-  return logic::inverterChain(8);
 }
 
 struct CircuitReport {
@@ -70,6 +69,16 @@ struct CircuitReport {
   double heur_max_total = 0.0;
   double bound_cover_min = 0.0;  // root_min / true min (<= 1, closer = tighter)
   double bound_cover_max = 0.0;  // root_max / true max (>= 1, closer = tighter)
+};
+
+/// One heuristic run past the exact frontier.
+struct HeuristicReport {
+  std::string name;
+  search::Objective objective = search::Objective::kMin;
+  std::size_t sources = 0;
+  double setup_s = 0.0;  // LeakageBounds + staticImpact, as the run starts
+  double total_s = 0.0;  // the whole heuristicSearch call
+  double best_total = 0.0;
 };
 
 }  // namespace
@@ -99,7 +108,7 @@ int main(int argc, char** argv) {
   std::vector<CircuitReport> reports;
 
   for (const std::string& name : circuits) {
-    const logic::LogicNetlist netlist = buildByName(name);
+    const logic::LogicNetlist netlist = scenario::buildCircuit(name);
     const core::EstimationPlan plan(netlist, library, {});
     CircuitReport report;
     report.name = name;
@@ -170,6 +179,33 @@ int main(int argc, char** argv) {
     reports.push_back(report);
   }
 
+  std::vector<HeuristicReport> heuristic_reports;
+  for (const char* name : {"s838", "s13207"}) {
+    const logic::LogicNetlist netlist = scenario::buildCircuit(name);
+    const core::EstimationPlan plan(netlist, library, {});
+    for (const search::Objective objective :
+         {search::Objective::kMin, search::Objective::kMax}) {
+      HeuristicReport report;
+      report.name = name;
+      report.objective = objective;
+      report.sources = plan.sourceCount();
+      report.setup_s = timedSeconds([&] {
+        const search::LeakageBounds bounds(plan);
+        search::staticImpact(plan, bounds);
+      });
+      search::SearchOptions options;
+      options.algorithm = search::Algorithm::kHeuristic;
+      options.objective = objective;
+      options.budget = kHeuristicBudget;
+      options.seed = 20050307;
+      search::SearchResult result;
+      report.total_s = timedSeconds(
+          [&] { result = search::heuristicSearch(plan, options); });
+      report.best_total = result.total;
+      heuristic_reports.push_back(report);
+    }
+  }
+
   TableWriter table({"circuit", "n", "2^n", "B&B evals", "prunes",
                      "exh [ms]", "B&B [ms]", "heur [ms]", "range [x]",
                      "root cover"});
@@ -189,7 +225,22 @@ int main(int argc, char** argv) {
   table.printText(std::cout);
   std::cout << "range [x] = true max/min leakage ratio (the sleep-vector "
                "payoff); root cover = root bound interval relative to the "
-               "true extremes (1.000 = tight).\n";
+               "true extremes (1.000 = tight).\n\n";
+
+  TableWriter heuristic_table({"circuit", "n", "objective", "set-up [ms]",
+                               "heur [ms]", "best total [uA]"});
+  for (const HeuristicReport& r : heuristic_reports) {
+    heuristic_table.addRow({r.name, std::to_string(r.sources),
+                            search::toString(r.objective),
+                            formatDouble(r.setup_s * 1e3, 2),
+                            formatDouble(r.total_s * 1e3, 2),
+                            formatDouble(r.best_total * 1e6, 3)});
+  }
+  heuristic_table.printText(std::cout);
+  std::cout << "heuristic past the exact frontier, budget "
+            << kHeuristicBudget
+            << " (report only): set-up = the bounds and the static impacts "
+               "the run starts with, heur = the whole search.\n";
 
   std::ostringstream json;
   json << "{\n  \"workload\": \"optimize\",\n  \"quick\": "
@@ -212,6 +263,18 @@ int main(int argc, char** argv) {
          << formatDouble(r.bound_cover_min, 6) << ", \"root_cover_max\": "
          << formatDouble(r.bound_cover_max, 6) << "}"
          << (i + 1 < reports.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"heuristic_runs\": [\n";
+  for (std::size_t i = 0; i < heuristic_reports.size(); ++i) {
+    const HeuristicReport& r = heuristic_reports[i];
+    json << "    {\"circuit\": \"" << r.name << "\", \"objective\": \""
+         << search::toString(r.objective) << "\", \"sources\": "
+         << r.sources << ", \"budget\": " << kHeuristicBudget
+         << ", \"setup_ms\": "
+         << formatDouble(r.setup_s * 1e3, 3) << ", \"total_ms\": "
+         << formatDouble(r.total_s * 1e3, 3) << ", \"best_total_A\": "
+         << r.best_total << "}"
+         << (i + 1 < heuristic_reports.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"failures\": " << failures.size() << "\n}\n";
   const std::string out_path = bench::outPath("BENCH_optimize.json");

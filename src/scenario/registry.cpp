@@ -256,7 +256,7 @@ Registry builtinRegistry() {
   // Exact scenarios pin the provably optimal vector, its leakage AND the
   // branch-and-bound work counters (nodes/prunes), so a regression in
   // either the optimum or the pruning machinery breaks the golden check.
-  // The heuristic scenario pins the seeded restart search end to end.
+  // The heuristic scenarios pin the seeded restart search end to end.
   // Like "ci", everything here is small enough for every CI job.
   std::vector<std::string> optimize;
   auto optimizeScenario = [](const std::string& circuit,
@@ -295,6 +295,9 @@ Registry builtinRegistry() {
     spec.budget = 48;
     optimize.push_back(
         addNamed(registry, optimizeScenario("c17", "d25g", 300.0, spec)));
+    // s838's 66 sources span two 64-source words of static impacts.
+    optimize.push_back(
+        addNamed(registry, optimizeScenario("s838", "d25s", 300.0, spec)));
   }
   registry.addSuite("optimize", optimize);
 

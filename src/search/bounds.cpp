@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/trace.h"
 #include "util/error.h"
 
 namespace nanoleak::search {
@@ -39,9 +40,60 @@ std::size_t capIndex(const core::Axis& axis, double cap) {
   return axis.size() - 1;
 }
 
+/// One (kind, vector) table's grid-point sums sub + gate + btbt, reduced
+/// to the min and max over every rectangle [0, i] x [0, j]: cell (i, j),
+/// row-major over the (IL, OL) grid, holds that rectangle's extrema. Each
+/// cell takes the extrema of the rectangle above it and of row i's cells
+/// [0, j], in that order, and std::min/max keep the earlier of two equal
+/// values, so a cell is bit-identical to a row-major scan of its
+/// rectangle (the sign of an extreme zero included).
+struct RectangleExtrema {
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
+RectangleExtrema rectangleExtrema(const core::VectorTable& t) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t cols = t.ol_axis.size();
+  const std::size_t cells = t.il_axis.size() * cols;
+  const std::vector<double>& sub = t.subthreshold.values();
+  const std::vector<double>& gate = t.gate.values();
+  const std::vector<double>& btbt = t.btbt.values();
+  RectangleExtrema out{std::vector<double>(cells),
+                       std::vector<double>(cells)};
+  double row_lo = kInf;
+  double row_hi = -kInf;
+  for (std::size_t k = 0; k < cells; ++k) {
+    if (k % cols == 0) {
+      row_lo = kInf;
+      row_hi = -kInf;
+    }
+    const double s = sub[k] + gate[k] + btbt[k];
+    row_lo = std::min(row_lo, s);
+    row_hi = std::max(row_hi, s);
+    out.lo[k] = std::min(k < cols ? kInf : out.lo[k - cols], row_lo);
+    out.hi[k] = std::max(k < cols ? -kInf : out.hi[k - cols], row_hi);
+  }
+  return out;
+}
+
+/// The possible-vector mask of a gate with `inputs` pins: every vector.
+std::uint32_t allVectors(std::size_t inputs) {
+  const std::size_t nv = std::size_t{1} << inputs;
+  return nv >= 32 ? 0xffffffffu : ((1u << nv) - 1u);
+}
+
+/// What the intervals read of one gate kind, built once per kind.
+struct KindBounds {
+  const std::vector<core::VectorTable>* tables = nullptr;
+  std::vector<double> pin_max;            // maxAbsPinCurrent per pin
+  std::vector<RectangleExtrema> extrema;  // per vector, with loading
+};
+
 }  // namespace
 
 LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
+  OBS_SPAN("search.bounds");
   const logic::LogicNetlist& netlist = plan.netlist();
   const core::LeakageLibrary& library = plan.library();
   const bool with_loading = plan.options().with_loading;
@@ -53,6 +105,32 @@ LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
   }
   vmin_.resize(offset_.back());
   vmax_.resize(offset_.back());
+
+  // The tables of every kind in the netlist, indexed by the kind's value.
+  const auto slot = [](gates::GateKind kind) {
+    return static_cast<std::size_t>(kind);
+  };
+  std::vector<KindBounds> kinds;
+  for (const logic::Gate& gate : netlist.gates()) {
+    if (slot(gate.kind) >= kinds.size()) {
+      kinds.resize(slot(gate.kind) + 1);
+    }
+    KindBounds& kind = kinds[slot(gate.kind)];
+    if (kind.tables != nullptr) {
+      continue;
+    }
+    kind.tables = &library.tables(gate.kind);
+    require(kind.tables->size() == (std::size_t{1} << gate.inputs.size()),
+            "LeakageBounds: table count mismatch");
+    for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+      kind.pin_max.push_back(maxAbsPinCurrent(*kind.tables, pin));
+    }
+    if (with_loading) {
+      for (const core::VectorTable& t : *kind.tables) {
+        kind.extrema.push_back(rectangleExtrema(t));
+      }
+    }
+  }
 
   // Worst-case |injection| every net can carry: the sum over its fanout
   // pins of each pin's worst-case |current|, plus DFF D-pin loads (the
@@ -66,9 +144,8 @@ LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
     for (NetId net = 0; net < netlist.netCount(); ++net) {
       double sum = 0.0;
       for (const logic::PinRef& ref : netlist.fanout(net)) {
-        const logic::Gate& gate = netlist.gate(ref.gate);
-        sum += maxAbsPinCurrent(library.tables(gate.kind),
-                                static_cast<std::size_t>(ref.pin));
+        sum += kinds[slot(netlist.gate(ref.gate).kind)]
+                   .pin_max[static_cast<std::size_t>(ref.pin)];
       }
       sum += static_cast<double>(netlist.dffLoadCount(net)) * dff_pin_max;
       net_max_abs[net] = sum;
@@ -77,9 +154,8 @@ LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
 
   for (GateId g = 0; g < netlist.gateCount(); ++g) {
     const logic::Gate& gate = netlist.gate(g);
-    const std::vector<core::VectorTable>& tables = library.tables(gate.kind);
-    require(tables.size() == (std::size_t{1} << gate.inputs.size()),
-            "LeakageBounds: table count mismatch");
+    const KindBounds& kind = kinds[slot(gate.kind)];
+    const std::vector<core::VectorTable>& tables = *kind.tables;
     if (!with_loading) {
       for (std::size_t v = 0; v < tables.size(); ++v) {
         const double exact = tables[v].isolated_nominal.total();
@@ -104,18 +180,10 @@ LeakageBounds::LeakageBounds(const core::EstimationPlan& plan) {
 
     for (std::size_t v = 0; v < tables.size(); ++v) {
       const core::VectorTable& t = tables[v];
-      const std::size_t i_cap = capIndex(t.il_axis, il_cap);
-      const std::size_t j_cap = capIndex(t.ol_axis, ol_cap);
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i <= i_cap; ++i) {
-        for (std::size_t j = 0; j <= j_cap; ++j) {
-          const double s =
-              t.subthreshold.at(i, j) + t.gate.at(i, j) + t.btbt.at(i, j);
-          lo = std::min(lo, s);
-          hi = std::max(hi, s);
-        }
-      }
+      const std::size_t k = capIndex(t.il_axis, il_cap) * t.ol_axis.size() +
+                            capIndex(t.ol_axis, ol_cap);
+      const double lo = kind.extrema[v].lo[k];
+      const double hi = kind.extrema[v].hi[k];
       vmin_[offset_[g] + v] = lo - kRelativeSlack * std::abs(lo);
       vmax_[offset_[g] + v] = hi + kRelativeSlack * std::abs(hi);
     }
@@ -144,6 +212,55 @@ double LeakageBounds::maskMax(GateId g, std::uint32_t mask) const {
   return hi;
 }
 
+std::vector<double> staticImpact(const core::EstimationPlan& plan,
+                                 const LeakageBounds& bounds) {
+  OBS_SPAN("search.impact");
+  const logic::LogicNetlist& netlist = plan.netlist();
+  const std::vector<GateId> order = netlist.topologicalOrder();
+
+  // Flat copies in topological order of what the passes read: each gate's
+  // input nets (CSR), output net and bound width over all its vectors.
+  std::vector<std::size_t> input_offset(order.size() + 1, 0);
+  std::vector<NetId> input_net;
+  std::vector<NetId> output(order.size());
+  std::vector<double> width(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const logic::Gate& gate = netlist.gate(order[k]);
+    input_net.insert(input_net.end(), gate.inputs.begin(), gate.inputs.end());
+    input_offset[k + 1] = input_net.size();
+    output[k] = gate.output;
+    const std::uint32_t all = allVectors(gate.inputs.size());
+    width[k] = bounds.maskMax(order[k], all) - bounds.maskMin(order[k], all);
+  }
+
+  // One pass per 64 sources: reach[net] holds the sources of this word
+  // whose cone reaches the net, a gate's word is the OR of its input nets'
+  // words, and each source in it adds the gate's width, so every impact
+  // sums its cone in topological order.
+  const std::vector<NetId> sources = netlist.sourceNets();
+  std::vector<double> impact(sources.size(), 0.0);
+  std::vector<std::uint64_t> reach(netlist.netCount());
+  for (std::size_t base = 0; base < sources.size(); base += 64) {
+    std::fill(reach.begin(), reach.end(), 0);
+    const std::size_t word = std::min<std::size_t>(64, sources.size() - base);
+    for (std::size_t b = 0; b < word; ++b) {
+      reach[sources[base + b]] |= std::uint64_t{1} << b;
+    }
+    double* const scores = impact.data() + base;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      std::uint64_t bits = 0;
+      for (std::size_t p = input_offset[k]; p < input_offset[k + 1]; ++p) {
+        bits |= reach[input_net[p]];
+      }
+      reach[output[k]] = bits;
+      for (; bits != 0; bits &= bits - 1) {
+        scores[std::countr_zero(bits)] += width[k];
+      }
+    }
+  }
+  return impact;
+}
+
 BoundTracker::BoundTracker(const core::EstimationPlan& plan,
                            const TernaryPropagator& propagator,
                            const LeakageBounds& bounds)
@@ -153,9 +270,7 @@ BoundTracker::BoundTracker(const core::EstimationPlan& plan,
   cur_max_.resize(gates);
   stamp_.assign(gates, 0);
   for (GateId g = 0; g < gates; ++g) {
-    const std::size_t nv = std::size_t{1} << netlist_.gate(g).inputs.size();
-    const std::uint32_t all =
-        nv >= 32 ? 0xffffffffu : ((1u << nv) - 1u);
+    const std::uint32_t all = allVectors(netlist_.gate(g).inputs.size());
     cur_min_[g] = bounds_.maskMin(g, all);
     cur_max_[g] = bounds_.maskMax(g, all);
     sums_.add({kScale * cur_min_[g], kScale * cur_max_[g]});

@@ -15,7 +15,9 @@
 ///    the worst-case |pin current| of every other pin on the gate's nets
 ///    (plus DFF D-pin loads), so only grid points up to those caps can
 ///    influence the interpolation. The interval is the min/max grid-point
-///    sum over that reachable sub-rectangle.
+///    sum over that reachable sub-rectangle [0, i] x [0, j], read from a
+///    table of those extrema for every (i, j) that is built once per
+///    (gate kind, vector).
 ///
 /// Both cases are widened by a relative slack (kRelativeSlack) that
 /// dominates every floating-point effect the bound must absorb:
@@ -72,6 +74,19 @@ class LeakageBounds {
   std::vector<double> vmin_;
   std::vector<double> vmax_;
 };
+
+/// Static impact score of every source, in netlist.sourceNets() order: the
+/// summed bound width maskMax - maskMin over all vectors of every gate in
+/// the source's fanout cone (the gates reachable from it through gate
+/// inputs; DFFs end a cone), a measure of how much circuit leakage that
+/// input can move. Widths are added in
+/// LogicNetlist::topologicalOrder() order, so a score depends only on its
+/// cone's gate set: sources with the same cone get bit-identical scores,
+/// and a source with an empty cone gets +0.0. One bit-parallel pass over
+/// the gates per 64 sources. Seeds the heuristic's greedy assignment order
+/// and its activity scores.
+std::vector<double> staticImpact(const core::EstimationPlan& plan,
+                                 const LeakageBounds& bounds);
 
 /// Incremental circuit-wide bound sums under a growing partial assignment.
 ///

@@ -7,7 +7,9 @@
 // stop condition. A larger budget therefore evaluates a strict superset
 // (prefix extension) of the candidates of a smaller one, which makes the
 // best-found objective monotone non-worsening in the budget - a property
-// the metamorphic tests pin.
+// the metamorphic tests pin. The static impact scores that order the
+// greedy pass and seed the activity heap depend only on each source's
+// fanout cone (see staticImpact).
 
 #include <algorithm>
 #include <cstdint>
@@ -29,72 +31,6 @@ void recordHeuristicStats(const SearchStats& stats);
 }  // namespace internal
 
 namespace {
-
-/// Static impact score of one source: the total bound-interval width of
-/// every gate in its fanout cone - a measure of how much circuit leakage
-/// that input can move. Seeds both the greedy assignment order and the
-/// local-search activity scores.
-std::vector<double> staticImpact(const core::EstimationPlan& plan,
-                                 const LeakageBounds& bounds) {
-  const logic::LogicNetlist& netlist = plan.netlist();
-  const std::size_t gates = netlist.gateCount();
-  const std::size_t nets = netlist.netCount();
-
-  // Flat copies of what the walks read: each gate's bound width over all
-  // its vectors and its output net, and the fanout gates of every net in
-  // netlist.fanout() order (a gate once per pin on the net).
-  std::vector<double> width(gates);
-  std::vector<logic::NetId> output(gates);
-  for (logic::GateId g = 0; g < gates; ++g) {
-    const logic::Gate& gate = netlist.gate(g);
-    const std::size_t nv = std::size_t{1} << gate.inputs.size();
-    const std::uint32_t all = nv >= 32 ? 0xffffffffu : ((1u << nv) - 1u);
-    width[g] = bounds.maskMax(g, all) - bounds.maskMin(g, all);
-    output[g] = gate.output;
-  }
-  std::vector<std::size_t> fanout_offset(nets + 1, 0);
-  std::vector<logic::GateId> fanout_gate;
-  for (logic::NetId net = 0; net < nets; ++net) {
-    for (const logic::PinRef& ref : netlist.fanout(net)) {
-      fanout_gate.push_back(ref.gate);
-    }
-    fanout_offset[net + 1] = fanout_gate.size();
-  }
-
-  // Depth-first walk of each source's cone, summing widths in visit
-  // order. Walk s marks what it has seen with stamp s + 1, so no walk
-  // clears the marks of the one before.
-  const std::vector<logic::NetId> sources = netlist.sourceNets();
-  std::vector<double> impact(sources.size(), 0.0);
-  std::vector<std::size_t> gate_seen(gates, 0);
-  std::vector<std::size_t> net_seen(nets, 0);
-  std::vector<logic::NetId> frontier;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    const std::size_t stamp = s + 1;
-    frontier.assign(1, sources[s]);
-    net_seen[sources[s]] = stamp;
-    double sum = 0.0;
-    while (!frontier.empty()) {
-      const logic::NetId net = frontier.back();
-      frontier.pop_back();
-      for (std::size_t k = fanout_offset[net]; k < fanout_offset[net + 1];
-           ++k) {
-        const logic::GateId g = fanout_gate[k];
-        if (gate_seen[g] == stamp) {
-          continue;
-        }
-        gate_seen[g] = stamp;
-        sum += width[g];
-        if (net_seen[output[g]] != stamp) {
-          net_seen[output[g]] = stamp;
-          frontier.push_back(output[g]);
-        }
-      }
-    }
-    impact[s] = sum;
-  }
-  return impact;
-}
 
 /// One heuristic run's mutable state.
 class HeuristicEngine {
@@ -154,6 +90,7 @@ class HeuristicEngine {
   /// Assigns sources in impact order, picking for each the value with the
   /// more promising circuit bound (no leakage evaluations spent).
   std::vector<bool> greedyConstruct() {
+    OBS_SPAN("search.greedy");
     const std::size_t n = plan_.sourceCount();
     TernaryPropagator propagator(plan_.netlist());
     BoundTracker tracker(plan_, propagator, bounds_);
